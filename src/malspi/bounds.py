@@ -295,17 +295,22 @@ def bound_inputs_from_subsystem(
     """Measure the bound inputs on a concrete restricted system.
 
     The (tau, rho) certificate takes the worst case over the evaluated and
-    the play closed loops; the stationary covariance uses the evaluated
-    loop with both noise sources.
+    the play closed loops, measured once when both are the same policy
+    object; the stationary covariance uses the evaluated loop with both
+    noise sources.
     """
     sub = extract_subsystem(system, eval_policy, agent_set, cost_owners=cost_owners)
-    sub_play = extract_subsystem(system, play_policy, agent_set, cost_owners=cost_owners)
-    rep_eval = stability_report(sub.closed_loop())
-    rep_play = stability_report(sub_play.closed_loop())
+    closed = sub.closed_loop()
+    rep_eval = stability_report(closed)
+    if play_policy is eval_policy:
+        sub_play, rep_play = sub, rep_eval
+    else:
+        sub_play = extract_subsystem(system, play_policy, agent_set, cost_owners=cost_owners)
+        rep_play = stability_report(sub_play.closed_loop())
     rho = max(rep_eval.rho, rep_play.rho)
     tau = max(rep_eval.tau, rep_play.tau)
     p_inf = lyapunov_solve(
-        sub.closed_loop(),
+        closed,
         system.sigma_w**2 * np.eye(sub.nx) + sigma_eta**2 * (sub.b @ sub.b.T),
     )
     q_true = true_q_matrix(sub)

@@ -8,8 +8,8 @@ Subcommands:
 * ``verify``  run the brute-force oracle suite, one pass/fail line per check
 * ``bench``   per-iteration timing across agent counts
 
-The output root defaults to $MALSPI_OUTPUT_ROOT, then the config's
-``output_dir``, then ``./results``.
+The output root is the ``--output`` option, else the config's
+``output_dir``, else $MALSPI_OUTPUT_ROOT, else ``./results``.
 """
 from __future__ import annotations
 
@@ -139,23 +139,27 @@ def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: 
     deps = dependency_sets(graphs)
     policy = zero_policy(graphs, system.n_x, system.n_u)
     agents = [agent] if agent is not None else list(graphs.agents)
+    # One measurement per distinct (agent set, cost owners) pair: a value
+    # set recurs as a member of every gradient set that contains its owner.
+    measured = {}
+
+    def inputs(agent_set, cost_owners):
+        key = (agent_set, cost_owners)
+        if key not in measured:
+            measured[key] = bound_inputs_from_subsystem(
+                system, policy, policy, agent_set, cost_owners,
+                sigma_eta=config.sigma_eta, norm_sigma0=config.sigma0, o_tilde=o_tilde,
+            )
+        return measured[key]
+
     report = {}
     for i in agents:
         grad_set = deps.gradient[i]
         if not grad_set:
             report[str(i)] = {"note": "empty gradient set; nothing to estimate"}
             continue
-        direct_inputs = bound_inputs_from_subsystem(
-            system, policy, policy, deps.direct[i], grad_set,
-            sigma_eta=config.sigma_eta, norm_sigma0=config.sigma0, o_tilde=o_tilde,
-        )
-        member_inputs = [
-            bound_inputs_from_subsystem(
-                system, policy, policy, deps.value[j], (j,),
-                sigma_eta=config.sigma_eta, norm_sigma0=config.sigma0, o_tilde=o_tilde,
-            )
-            for j in grad_set
-        ]
+        direct_inputs = inputs(deps.direct[i], grad_set)
+        member_inputs = [inputs(deps.value[j], (j,)) for j in grad_set]
         report[str(i)] = {
             "direct_set": list(deps.direct[i]),
             "gradient_set": list(grad_set),

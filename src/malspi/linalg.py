@@ -5,8 +5,10 @@ entries scaled by sqrt(2), the unique diagonal-plus-scaled-upper convention
 for which the Euclidean inner product of vectors equals the Frobenius inner
 product of matrices.  ``smat`` inverts it exactly.
 
-The discrete Lyapunov equation P = X P X^T + Y is solved by Kronecker
-vectorization: exact at desk scale, O(n^6) in the matrix dimension.
+The discrete Lyapunov equation P = X P X^T + Y is solved by Smith's
+doubling iteration, which uses only n x n matrix products: O(n^2) memory
+and O(n^3) time per doubling, with about log2 of the decay time of X's
+powers in doublings.
 """
 from __future__ import annotations
 
@@ -16,6 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
+# 2^64 series terms: enough for any spectral radius representable below one.
+_MAX_DOUBLINGS = 64
+# Largest scaled residual (see ``lyapunov_residual``) a solution may have.
+LYAPUNOV_RESIDUAL_GATE = 1e-9
 
 
 class InstabilityError(RuntimeError):
@@ -77,12 +84,30 @@ def spectral_radius(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def _doubling_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_{j >= 0} X^j Y X^jT by Smith's doubling iteration.
+
+    After k doublings P = sum_{j < 2^k} X^j Y X^jT, from P <- P + A P A^T,
+    A <- A^2 starting at P = Y, A = X.  Stops once a step no longer
+    changes P at working precision.
+    """
+    p = y.copy()
+    a = x
+    for _ in range(_MAX_DOUBLINGS):
+        step = a @ p @ a.T
+        p += step
+        if np.linalg.norm(step, ord="fro") <= _EPS * np.linalg.norm(p, ord="fro"):
+            break
+        a = a @ a
+    return p
+
+
 def lyapunov_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve the discrete Lyapunov equation P = X P X^T + Y.
 
-    Requires spectral radius of X below one.  Solved exactly by the
-    Kronecker-vectorized linear system (I - X kron X) vec(P) = vec(Y);
-    intended for desk-scale dimensions.
+    Requires spectral radius of X below one.  Solved by Smith's doubling
+    iteration plus one step of iterative refinement, using only n x n
+    matrix products; the result must pass a residual gate.
     """
     xm = np.asarray(x, dtype=float)
     ym = np.asarray(y, dtype=float)
@@ -97,16 +122,23 @@ def lyapunov_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
     ym = 0.5 * (ym + ym.T)
-    lhs = np.eye(n * n) - np.kron(xm, xm)
-    sol = np.linalg.solve(lhs, ym.reshape(-1))
-    p = sol.reshape(n, n)
+    p = _doubling_sum(xm, ym)
+    # Doubling loses accuracy in proportion to the transient growth of a
+    # non-normal X; solving once more for the residual recovers it.
+    p += _doubling_sum(xm, ym + xm @ p @ xm.T - p)
     p = 0.5 * (p + p.T)
-    residual = np.linalg.norm(p - xm @ p @ xm.T - ym, ord="fro")
-    if residual > 1e-9 * (1.0 + np.linalg.norm(ym, ord="fro")):
+    residual = lyapunov_residual(xm, ym, p)
+    if not residual <= LYAPUNOV_RESIDUAL_GATE:
         raise RuntimeError(
             f"Lyapunov residual {residual:.3g} above tolerance; system badly conditioned"
         )
     return p
+
+
+def lyapunov_residual(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> float:
+    """Scaled residual ||P - X P X^T - Y||_F / (1 + ||Y||_F) of a Lyapunov solution."""
+    gap = np.linalg.norm(p - x @ p @ x.T - y, ord="fro")
+    return float(gap / (1.0 + np.linalg.norm(y, ord="fro")))
 
 
 def psd_project(mat: np.ndarray, zeta: float = 0.0) -> np.ndarray:
@@ -138,23 +170,21 @@ class StabilityReport:
 def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityReport:
     """Spectral radius plus an empirical transient-overshoot estimate.
 
-    tau is the maximum of ||X^k||_2 / rho^k over k = 0..max_power; for a
-    nilpotent or zero matrix (rho = 0) tau defaults to one.
+    tau is the maximum of ||(X / rho)^k||_2 over k = 0..max_power; for a
+    nilpotent or zero matrix (rho = 0) tau defaults to one.  Powering the
+    normalized matrix keeps every term of order tau, where rho^k alone
+    would underflow for small rho.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"stability_report expects a square matrix, got shape {m.shape}")
     rho = spectral_radius(m)
-    if rho <= 1e-14:
+    if rho <= 1e-14 or max_power < 1:
         return StabilityReport(rho=rho, tau=1.0)
-    tau = 1.0
-    power = np.eye(m.shape[0])
-    scale = 1.0
-    for _ in range(max_power):
-        power = power @ m
-        scale *= rho
-        norm = float(np.linalg.norm(power, ord=2))
-        tau = max(tau, norm / scale)
-        if norm == 0.0:
-            break
-    return StabilityReport(rho=rho, tau=tau)
+    normalized = m / rho
+    powers = np.empty((max_power,) + m.shape)
+    powers[0] = normalized
+    for k in range(1, max_power):
+        np.matmul(powers[k - 1], normalized, out=powers[k])
+    norms = np.linalg.svd(powers, compute_uv=False)[:, 0]
+    return StabilityReport(rho=rho, tau=max(1.0, float(np.max(norms))))

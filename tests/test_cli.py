@@ -1,10 +1,16 @@
 """Command-line interface surfaces."""
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+from malspi import bounds as bounds_mod
+from malspi import cli
 from malspi.cli import main
+from malspi.config import load_config
+from malspi.graphs import dependency_sets
+from malspi.system import zero_policy
 
 
 @pytest.fixture()
@@ -53,6 +59,60 @@ def test_bounds_subcommand_emits_calculators(config_file):
     assert entry["indirect"]["t_epsilon"] > 0
     # follower's value set equals its direct set, so the bounds coincide
     assert entry["indirect"]["t_min"] == pytest.approx(entry["direct"]["t_min"])
+
+
+def test_bounds_measures_each_distinct_set_once(tmp_path, monkeypatch):
+    path = tmp_path / "example2.json"
+    path.write_text(json.dumps({"n_agents": 6, "example": "example2"}))
+    config = load_config(path)
+    system = config.build_system()
+    deps = dependency_sets(system.graphs)
+    policy = zero_policy(system.graphs, system.n_x, system.n_u)
+
+    def measure(agent_set, owners):
+        return bounds_mod.bound_inputs_from_subsystem(
+            system, policy, policy, agent_set, owners,
+            sigma_eta=config.sigma_eta, norm_sigma0=config.sigma0,
+        )
+
+    reference = {}
+    pairs = set()
+    uncached_calls = 0
+    for i in system.graphs.agents:
+        grad_set = deps.gradient[i]
+        members = [(deps.value[j], (j,)) for j in grad_set]
+        pairs.update([(deps.direct[i], grad_set), *members])
+        uncached_calls += 1 + len(members)
+        reference[str(i)] = {
+            "direct_set": list(deps.direct[i]),
+            "gradient_set": list(grad_set),
+            "direct": bounds_mod.sample_bound_direct(
+                measure(deps.direct[i], grad_set), epsilon=0.1).to_dict(),
+            "indirect": bounds_mod.sample_bound_indirect(
+                [measure(*m) for m in members], epsilon=0.1).to_dict(),
+        }
+    calls = Counter()
+    certified = []
+    real_inputs = cli.bound_inputs_from_subsystem
+    real_report = bounds_mod.stability_report
+
+    def counted_inputs(system, eval_policy, play_policy, agent_set, owners, **kwargs):
+        calls[(tuple(agent_set), tuple(owners))] += 1
+        return real_inputs(system, eval_policy, play_policy, agent_set, owners, **kwargs)
+
+    def counted_report(mat):
+        certified.append(mat.shape[0])
+        return real_report(mat)
+
+    monkeypatch.setattr(cli, "bound_inputs_from_subsystem", counted_inputs)
+    monkeypatch.setattr(bounds_mod, "stability_report", counted_report)
+    result = CliRunner().invoke(main, ["bounds", str(path), "--epsilon", "0.1"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == json.loads(json.dumps(reference))
+    assert uncached_calls > len(pairs)
+    assert set(calls) == pairs and set(calls.values()) == {1}
+    # Play and evaluated policies are one object: one certificate per set.
+    assert len(certified) == len(pairs)
 
 
 def test_run_subcommand_writes_artifacts(config_file, tmp_path):

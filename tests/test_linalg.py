@@ -14,7 +14,7 @@ from malspi.linalg import (
     svec,
     svec_dim,
 )
-from malspi.verify import lyapunov_iteration_oracle
+from malspi.verify import check_lyapunov_oracle, lyapunov_iteration_oracle
 
 
 def random_symmetric(rng, n):
@@ -94,6 +94,13 @@ def test_lyapunov_matches_fixed_point_iteration():
         )
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lyapunov_matches_kronecker_oracle_on_stress_set(seed):
+    # Normal and non-normal X, 1 <= n <= 11, spectral radius up to 0.999.
+    result = check_lyapunov_oracle(seed)
+    assert result.passed, result.detail
+
+
 def test_lyapunov_rejects_unstable_dynamics():
     with pytest.raises(InstabilityError) as err:
         lyapunov_solve(np.array([[1.2]]), np.array([[1.0]]))
@@ -144,6 +151,20 @@ def test_stability_report_normal_matrix():
     report = stability_report(np.diag([0.9, 0.5]))
     assert report.rho == pytest.approx(0.9)
     assert report.tau == pytest.approx(1.0)
+
+
+def test_stability_report_small_spectral_radius_normal():
+    # rho**k underflows long before k = 200; the normalized powers do not.
+    report = stability_report(np.diag([0.01, 0.005]))
+    assert report.rho == pytest.approx(0.01)
+    assert report.tau == pytest.approx(1.0, rel=1e-12)
+
+
+def test_stability_report_small_spectral_radius_jordan_block():
+    # (X / rho)^k = [[1, 50 k], [0, 1]], largest at k = 200.
+    report = stability_report(np.array([[0.02, 1.0], [0.0, 0.02]]))
+    assert report.rho == pytest.approx(0.02)
+    assert report.tau == pytest.approx(1e4, rel=1e-6)
 
 
 def test_stability_report_matches_power_oracle():

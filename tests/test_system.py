@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from malspi.graphs import GraphValidationError, build_coupling_graphs, dependency_sets
+from malspi.config import parse_config
 from malspi.examples import build_example_system, generate_example1
 from malspi.linalg import InstabilityError, lyapunov_solve
 from malspi.system import (
@@ -20,7 +21,12 @@ from malspi.system import (
     u_coords,
     zero_policy,
 )
-from malspi.verify import random_graphs, random_stabilizing_policy, random_system
+from malspi.verify import (
+    lyapunov_iteration_oracle,
+    random_graphs,
+    random_stabilizing_policy,
+    random_system,
+)
 
 
 def scalar_system(a, b, s, r, sigma_w):
@@ -252,6 +258,26 @@ def test_rollout_matches_stationary_covariance():
     xs = batch.x[500:]
     empirical = (xs.T @ xs) / xs.shape[0]
     assert np.linalg.norm(empirical - target) / np.linalg.norm(target) < 0.10
+
+
+def test_leader_set_solves_match_iteration_oracle_at_scale(monkeypatch):
+    # example2 N=24: the leader's direct set is the whole team, n = 72.
+    config = parse_config({"n_agents": 24, "example": "example2"})
+    system = config.build_system()
+    deps = dependency_sets(system.graphs)
+    policy = zero_policy(system.graphs, system.n_x, system.n_u)
+    sub = extract_subsystem(system, policy, deps.direct[1], cost_owners=deps.gradient[1])
+    assert sub.nx == 72
+    closed = sub.closed_loop()
+    y = system.sigma_w**2 * np.eye(sub.nx) + config.sigma_eta**2 * (sub.b @ sub.b.T)
+
+    def rel_gap(value, reference):
+        return np.max(np.abs(value - reference)) / max(1.0, np.max(np.abs(reference)))
+
+    assert rel_gap(lyapunov_solve(closed, y), lyapunov_iteration_oracle(closed, y)) < 1e-9
+    q = true_q_matrix(sub)
+    monkeypatch.setattr("malspi.system.lyapunov_solve", lyapunov_iteration_oracle)
+    assert rel_gap(q, true_q_matrix(sub)) < 1e-9
 
 
 def test_average_cost_zero_without_noise():
