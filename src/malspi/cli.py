@@ -222,7 +222,8 @@ def bench(config_path: str, n_list, archs, warmup: int, measured: int, t_mode: s
             click.echo(
                 f"  {cell.architecture:>20} N={cell.n_agents}: "
                 f"mean {cell.mean_iteration_s:.4f}s median {cell.median_iteration_s:.4f}s "
-                f"(T={cell.t_rollout}){ratio}"
+                f"(T={cell.t_rollout}){ratio}; frozen updates {cell.frozen_updates}, "
+                f"diverged evals {cell.diverged_evals}"
             )
     click.echo(f"wrote {out_dir / 'bench.csv'}")
 

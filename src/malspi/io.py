@@ -72,9 +72,8 @@ def write_q_estimate_csv(estimate: QEstimate, path: str | Path) -> None:
             diag = estimate.diagnostics
             writer.writerow(["feature_dim", "", str(diag.feature_dim)])
             writer.writerow(["t_length", "", str(diag.t_length)])
+            writer.writerow(["rcond", "", _fmt(diag.rcond)])
             writer.writerow(["sigma_min", "", _fmt(diag.sigma_min)])
-            writer.writerow(["rdiag_min", "", _fmt(diag.rdiag_min)])
-            writer.writerow(["rdiag_max", "", _fmt(diag.rdiag_max)])
         for k, value in enumerate(estimate.q):
             writer.writerow(["q", str(k), repr(float(value))])
 

@@ -9,9 +9,12 @@ error-in-variables system
 
     q = (Phi' (Phi - Psi_plus + F))^{-1} Phi' c_hat,
 
-computed through a column-pivoted QR factorization, never an explicit
-inverse.  With zero process noise the relation holds pathwise and the
-recovery is exact up to conditioning.
+computed through one partial-pivoting LU factorization, never an explicit
+inverse.  The factorization is gated on LAPACK's reciprocal 1-norm
+condition estimate (``gecon``, the Hager/Higham estimator), which costs
+O(d^2) on top of the O(d^3) factorization; the exact minimum singular value
+is an O(d^3) diagnostic computed only on request.  With zero process noise
+the relation holds pathwise and the recovery is exact up to conditioning.
 """
 from __future__ import annotations
 
@@ -34,10 +37,6 @@ from .system import (
 
 AgentSet = tuple[int, ...]
 
-# Exact minimum singular values are reported only up to this operator size;
-# larger factorizations fall back to the rank-revealing QR diagonal.
-_EXACT_SIGMA_LIMIT = 1500
-
 _RCOND_THRESHOLD = 1e-10
 
 
@@ -54,23 +53,33 @@ class UnderdeterminedError(ValueError):
 
 
 class SingularOperatorError(RuntimeError):
-    """Regression operator numerically singular."""
+    """Regression operator numerically singular.
 
-    def __init__(self, detail: str):
+    ``rcond`` is the reciprocal condition estimate that failed the gate:
+    0.0 for an all-zero operator or an exactly zero pivot, NaN for a
+    non-finite operator.
+    """
+
+    def __init__(self, detail: str, rcond: float):
         super().__init__(
             f"LSTDQ operator is singular or ill-conditioned ({detail}); "
             "collect a longer trajectory or increase the exploration noise"
         )
+        self.rcond = rcond
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Conditioning record of one LSTDQ factorization."""
+    """Conditioning record of one LSTDQ factorization.
+
+    ``rcond`` is the reciprocal 1-norm condition estimate the ``singular``
+    gate compares against ``threshold``; ``sigma_min`` is the exact minimum
+    singular value of the operator, None unless requested.
+    """
 
     feature_dim: int
     t_length: int
-    rdiag_min: float
-    rdiag_max: float
+    rcond: float
     sigma_min: Optional[float]
     threshold: float
 
@@ -224,53 +233,69 @@ def build_regression(
 class LstdqOperator:
     """Factorized regression operator Phi' (Phi - Psi_plus + F).
 
-    Factorizes once with column-pivoted QR and solves for any number of
+    Factorizes once with partial-pivoting LU and solves for any number of
     cost right-hand sides.  Raises SingularOperatorError at construction
-    when the rank-revealing diagonal falls below the relative threshold.
+    when the operator is all zero or not finite, when the LU has an exactly
+    zero pivot, or when the reciprocal 1-norm condition estimate is not
+    above ``rcond``.  ``exact_sigma_min=True`` also records the operator's
+    exact minimum singular value, an SVD that costs several times the
+    factorization.
     """
 
-    def __init__(self, bundle: RegressionBundle, *, rcond: float = _RCOND_THRESHOLD):
+    def __init__(
+        self,
+        bundle: RegressionBundle,
+        *,
+        rcond: float = _RCOND_THRESHOLD,
+        exact_sigma_min: bool = False,
+    ):
         self.bundle = bundle
-        operator = bundle.phi.T @ (bundle.phi - bundle.psi_plus + bundle.f_row[None, :])
-        q_fac, r_fac, piv = scipy.linalg.qr(operator, mode="economic", pivoting=True)
-        rdiag = np.abs(np.diag(r_fac))
-        rd_max = float(rdiag.max()) if rdiag.size else 0.0
-        rd_min = float(rdiag.min()) if rdiag.size else 0.0
+        # (G' Phi)' is Phi' G laid out in Fortran order, so getrf factorizes
+        # this temporary in place instead of copying it
+        operator = ((bundle.phi - bundle.psi_plus + bundle.f_row[None, :]).T @ bundle.phi).T
+        getrf, gecon, lange = scipy.linalg.get_lapack_funcs(
+            ("getrf", "gecon", "lange"), (operator,)
+        )
+        anorm = float(lange("1", operator))
+        if not (0.0 < anorm < math.inf):
+            raise SingularOperatorError(
+                f"operator 1-norm {anorm:.3g}", 0.0 if anorm == 0.0 else math.nan
+            )
         sigma_min = None
-        if bundle.d <= _EXACT_SIGMA_LIMIT and rd_max > 0.0:
-            sigma_min = float(scipy.linalg.svdvals(r_fac)[-1])
+        if exact_sigma_min:
+            sigma_min = float(scipy.linalg.svdvals(operator, check_finite=False)[-1])
+        lu, piv, info = getrf(operator, overwrite_a=True)
+        if info > 0:
+            raise SingularOperatorError(f"LU pivot {info} of {bundle.d} is exactly zero", 0.0)
+        rcond_est = float(gecon(lu, anorm, norm="1")[0])
+        if not rcond_est > rcond:
+            raise SingularOperatorError(
+                f"reciprocal condition estimate {rcond_est:.3g} <= {rcond:.3g}", rcond_est
+            )
         self.diagnostics = SolveDiagnostics(
             feature_dim=bundle.d,
             t_length=bundle.t_length,
-            rdiag_min=rd_min,
-            rdiag_max=rd_max,
+            rcond=rcond_est,
             sigma_min=sigma_min,
             threshold=rcond,
         )
-        if rd_max == 0.0 or rd_min <= rcond * rd_max:
-            raise SingularOperatorError(
-                f"pivoted-QR diagonal range [{rd_min:.3g}, {rd_max:.3g}]"
-            )
-        self._q_fac = q_fac
-        self._r_fac = r_fac
+        self._lu = lu
         self._piv = piv
 
     def solve_cost(self, cost: np.ndarray) -> np.ndarray:
         """Packed Q parameter for one aggregated cost sequence."""
         rhs = self.bundle.phi.T @ np.asarray(cost, dtype=float)
-        y = scipy.linalg.solve_triangular(self._r_fac, self._q_fac.T @ rhs, lower=False)
-        out = np.empty_like(y)
-        out[self._piv] = y
-        return out
+        return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 
 
 def lstdq_solve(bundle: RegressionBundle, *, rcond: float = _RCOND_THRESHOLD) -> QEstimate:
     """Solve the regression for the bundle's aggregated cost.
 
-    Returns the raw (unprojected) estimate with conditioning diagnostics;
-    apply ``QEstimate.project`` for the eigenvalue-floored version.
+    Returns the raw (unprojected) estimate with conditioning diagnostics,
+    including the exact minimum singular value; apply ``QEstimate.project``
+    for the eigenvalue-floored version.
     """
-    op = LstdqOperator(bundle, rcond=rcond)
+    op = LstdqOperator(bundle, rcond=rcond, exact_sigma_min=True)
     q = op.solve_cost(bundle.c_hat)
     return QEstimate(
         q=q,

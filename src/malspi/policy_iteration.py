@@ -168,12 +168,17 @@ class MalspiConfig:
 
 @dataclass(frozen=True)
 class AgentDiagnostics:
-    """Per-agent evaluation record of one iteration."""
+    """Per-agent evaluation record of one iteration.
+
+    ``rcond`` is the reciprocal 1-norm condition estimate of the operator
+    on the agent's own estimation set (the failing estimate when that set
+    is flagged ``singular``), None when the set was not factorized.
+    """
 
     agent: int
     set_size: int
     feature_dim: int
-    sigma_min: Optional[float]
+    rcond: Optional[float]
     flags: tuple[str, ...]
     q_error: Optional[float]
 
@@ -280,23 +285,23 @@ def run_malspi(
                 owners_by_set.setdefault(est_set, set()).add(owner)
         solutions: dict[tuple[AgentSet, int], np.ndarray] = {}
         set_flags: dict[AgentSet, tuple[str, ...]] = {}
-        set_sigma: dict[AgentSet, Optional[float]] = {}
+        set_rcond: dict[AgentSet, Optional[float]] = {}
         for est_set in sorted(owners_by_set):
             owners = tuple(sorted(owners_by_set[est_set]))
             try:
                 bundle = build_regression(batch, est_set, policy, owners, system)
             except UnderdeterminedError:
                 set_flags[est_set] = ("underdetermined",)
-                set_sigma[est_set] = None
+                set_rcond[est_set] = None
                 continue
             try:
                 op = LstdqOperator(bundle)
-            except SingularOperatorError:
+            except SingularOperatorError as err:
                 set_flags[est_set] = ("singular",)
-                set_sigma[est_set] = None
+                set_rcond[est_set] = err.rcond
                 continue
             set_flags[est_set] = ()
-            set_sigma[est_set] = op.diagnostics.sigma_min
+            set_rcond[est_set] = op.diagnostics.rcond
             for owner in owners:
                 solutions[(est_set, owner)] = op.solve_cost(bundle.owner_costs[owner])
         wall_eval = time.perf_counter() - t0
@@ -315,7 +320,7 @@ def run_malspi(
                         agent=i,
                         set_size=len(plan.own_set),
                         feature_dim=own_d,
-                        sigma_min=None,
+                        rcond=None,
                         flags=("empty_gradient_set",),
                         q_error=None,
                     )
@@ -331,7 +336,7 @@ def run_malspi(
                         agent=i,
                         set_size=len(plan.own_set),
                         feature_dim=own_d,
-                        sigma_min=set_sigma.get(plan.own_set),
+                        rcond=set_rcond.get(plan.own_set),
                         flags=flags,
                         q_error=None,
                     )
@@ -371,7 +376,7 @@ def run_malspi(
                     agent=i,
                     set_size=len(plan.own_set),
                     feature_dim=own_d,
-                    sigma_min=set_sigma.get(plan.own_set),
+                    rcond=set_rcond.get(plan.own_set),
                     flags=flags,
                     q_error=q_error,
                 )

@@ -22,6 +22,9 @@ from .policy_iteration import Architecture, IterationRecord, run_malspi
 
 logger = logging.getLogger(__name__)
 
+# flags of an agent update whose gain was carried forward unchanged
+_FROZEN_FLAGS = ("singular", "underdetermined")
+
 CURVE_HEADER = ["architecture", "seed", "iteration", "eval_cost", "diverged"]
 TIMING_HEADER = [
     "architecture",
@@ -36,6 +39,7 @@ AGENT_HEADER = [
     "agent",
     "eval_cost",
     "q_err_if_oracle_known",
+    "rcond",
     "wall_ms_eval",
     "wall_ms_update",
     "flags",
@@ -99,6 +103,7 @@ def _agent_rows(records: Sequence[IterationRecord]):
                 diag.agent,
                 record.eval_cost,
                 diag.q_error,
+                diag.rcond,
                 record.wall_eval_s * 1e3,
                 record.wall_update_s * 1e3,
                 "|".join(diag.flags),
@@ -251,6 +256,14 @@ def full_set_feature_dim(config: ExperimentConfig) -> int:
 
 @dataclass(frozen=True)
 class BenchCell:
+    """Timing of one (architecture, N) cell over its measured iterations.
+
+    ``frozen_updates`` counts agent updates flagged ``singular`` or
+    ``underdetermined`` (gain carried forward unchanged) and
+    ``diverged_evals`` the evaluation rollouts that diverged, both over the
+    measured iterations only.
+    """
+
     architecture: str
     n_agents: int
     t_rollout: Optional[int]
@@ -259,6 +272,8 @@ class BenchCell:
     n_measured: int
     skipped: bool
     ratio_vs_indirect: Optional[float] = None
+    frozen_updates: int = 0
+    diverged_evals: int = 0
 
 
 def timing_benchmark(
@@ -307,7 +322,8 @@ def timing_benchmark(
             mcfg = cfg_n.malspi_config(cfg_n.seeds[0])
             mcfg = _replace_rollout(mcfg, t_run)
             records = run_malspi(system, Architecture.parse(arch_name), mcfg)
-            secs = _iteration_seconds(records)[warmup:]
+            measured_records = [r for r in records if r.iteration > 0][warmup:]
+            secs = _iteration_seconds(measured_records)
             row_cells.append(
                 BenchCell(
                     architecture=arch_name,
@@ -317,6 +333,12 @@ def timing_benchmark(
                     median_iteration_s=statistics.median(secs) if secs else None,
                     n_measured=len(secs),
                     skipped=False,
+                    frozen_updates=sum(
+                        any(flag in _FROZEN_FLAGS for flag in diag.flags)
+                        for r in measured_records
+                        for diag in r.agents
+                    ),
+                    diverged_evals=sum(r.eval_diverged for r in measured_records),
                 )
             )
         base = next(
@@ -360,6 +382,8 @@ BENCH_HEADER = [
     "n_measured",
     "skipped",
     "ratio_vs_indirect",
+    "frozen_updates",
+    "diverged_evals",
 ]
 
 
@@ -377,6 +401,8 @@ def write_bench_csv(path: str | Path, cells: Sequence[BenchCell]) -> None:
                 c.n_measured,
                 int(c.skipped),
                 c.ratio_vs_indirect,
+                c.frozen_updates,
+                c.diverged_evals,
             ]
             for c in cells
         ),
@@ -397,6 +423,8 @@ def read_bench_csv(path: str | Path) -> tuple[BenchCell, ...]:
             n_measured=int(row[5]),
             skipped=bool(int(row[6])),
             ratio_vs_indirect=None if row[7] == "" else float(row[7]),
+            frozen_updates=int(row[8]),
+            diverged_evals=int(row[9]),
         )
         for row in rows
     )

@@ -314,6 +314,12 @@ def test_criterion_7_timing_trends():
             f"{arch} growth ratios {v[0]:.2f} then {v[1]:.2f} (exp. bound {v[0] ** (20/12):.2f})"
             for arch, v in sub_exponential.items()
         )
+        + "; frozen updates / diverged evals over measured iterations: "
+        + ", ".join(
+            f"{c.architecture} N={c.n_agents} (T={c.t_rollout}) "
+            f"{c.frozen_updates}/{c.diverged_evals}"
+            for c in (*ratio_cells, *growth_cells)
+        )
     )
     report(7, ok, detail)
     assert ratio8 >= 5.0

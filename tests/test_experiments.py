@@ -10,6 +10,7 @@ from malspi.graphs import build_coupling_graphs, dependency_sets, value_dependen
 from malspi.io import read_trajectory_csv, write_q_estimate_csv, write_trajectory_csv
 from malspi.lstdq import build_regression, lstdq_solve
 from malspi.runner import (
+    BenchCell,
     full_set_feature_dim,
     read_bench_csv,
     read_curves_csv,
@@ -207,10 +208,13 @@ def test_experiment_artifacts_round_trip_exactly(tmp_path):
         "agent",
         "eval_cost",
         "q_err_if_oracle_known",
+        "rcond",
         "wall_ms_eval",
         "wall_ms_update",
         "flags",
     ]
+    rows = [row.split(",") for row in agents_csv.read_text().splitlines()[1:]]
+    assert rows and all(0.0 < float(row[4]) <= 1.0 for row in rows if row[-1] == "")
 
 
 def test_experiment_without_oracle_marks_q_err_empty(tmp_path):
@@ -233,6 +237,20 @@ def test_timing_benchmark_skips_oversized_centralized(tmp_path):
     assert by_key[("centralized", 6)].skipped
     assert by_key[("centralized", 6)].mean_iteration_s is None
     assert not by_key[("centralized", 4)].skipped
+    path = tmp_path / "bench.csv"
+    write_bench_csv(path, cells)
+    assert read_bench_csv(path) == tuple(cells)
+
+
+def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
+    # at T=10 every full-set regression (d=36) is underdetermined, so each of
+    # the 4 agents is frozen in each of the 2 measured iterations
+    cfg = small_config(architectures=["centralized"], seeds=[0], t_rollout=10)
+    cells = timing_benchmark(cfg, [4], warmup=1, measured=2)
+    assert cells[0].frozen_updates == 4 * 2
+    assert cells[0].diverged_evals == 0
+    cells.append(BenchCell("direct", 4, 10, 0.5, 0.25, 2, False, 1.5,
+                           frozen_updates=3, diverged_evals=2))
     path = tmp_path / "bench.csv"
     write_bench_csv(path, cells)
     assert read_bench_csv(path) == tuple(cells)
@@ -266,4 +284,5 @@ def test_q_estimate_csv_contains_parameters_and_diagnostics(tmp_path):
     path = tmp_path / "estimate.csv"
     write_q_estimate_csv(estimate, path)
     text = path.read_text()
-    assert "sigma_min" in text and "q,0," in text
+    assert "rcond" in text and "sigma_min" in text and "q,0," in text
+    assert "rdiag" not in text

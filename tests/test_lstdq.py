@@ -1,12 +1,15 @@
 """Error-in-variables policy evaluation on restricted trajectories."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from malspi.graphs import build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1
 from malspi.lstdq import (
+    LstdqOperator,
     SingularOperatorError,
     UnderdeterminedError,
     build_regression,
@@ -104,6 +107,73 @@ def test_singular_operator_raises_with_advice():
     bundle = build_regression(batch, (1,), policy, (1,), system)
     with pytest.raises(SingularOperatorError, match="longer trajectory"):
         lstdq_solve(bundle)
+
+
+def test_nan_operator_raises_singular():
+    system = scalar_system()
+    policy = zero_policy(system.graphs, 1, 1)
+    bundle = build_regression(rollout(system, policy, 20, 1.0, seed=5), (1,), policy, (1,), system)
+    bundle = replace(bundle, phi=np.full_like(bundle.phi, np.nan))
+    with pytest.raises(SingularOperatorError) as err:
+        LstdqOperator(bundle)
+    assert math.isnan(err.value.rcond)
+
+
+def test_rank_deficient_nonzero_operator_raises_singular():
+    # no exploration under the zero policy: u = 0, so the x*u and u*u
+    # feature columns vanish while the x*x block stays nonzero
+    system = scalar_system(sigma_w=1.0)
+    policy = zero_policy(system.graphs, 1, 1)
+    batch = rollout(system, policy, 50, 0.0, seed=11)
+    bundle = build_regression(batch, (1,), policy, (1,), system)
+    assert np.any(bundle.phi != 0.0)
+    with pytest.raises(SingularOperatorError, match="longer trajectory"):
+        lstdq_solve(bundle)
+
+
+def test_nearly_dependent_columns_fail_the_condition_estimate():
+    # two feature columns equal to 1e-14 relative leave no exactly zero LU
+    # pivot; only the condition estimate can flag the operator
+    system = scalar_system()
+    policy = zero_policy(system.graphs, 1, 1)
+    bundle = build_regression(rollout(system, policy, 200, 1.0, seed=12), (1,), policy, (1,), system)
+    phi = bundle.phi.copy()
+    phi[:, 2] = phi[:, 1] * (1.0 + 1e-14)
+    with pytest.raises(SingularOperatorError, match="condition estimate") as err:
+        LstdqOperator(replace(bundle, phi=phi))
+    assert 0.0 <= err.value.rcond <= 1e-10
+
+
+def test_lu_solve_matches_least_squares_reference():
+    rng = np.random.default_rng(13)
+    g = generate_example1(2)
+    system = random_system(rng, g, 1, 1)
+    policy = random_stabilizing_policy(rng, system)
+    batch = rollout(system, zero_policy(g, 1, 1), 2000, 1.0, seed=14)
+    bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
+    op = LstdqOperator(bundle)
+    operator = bundle.phi.T @ (bundle.phi - bundle.psi_plus + bundle.f_row[None, :])
+    assert op.diagnostics.rcond > 1e-6
+    for cost in [bundle.c_hat, *bundle.owner_costs.values()]:
+        reference = scipy.linalg.lstsq(operator, bundle.phi.T @ cost)[0]
+        np.testing.assert_allclose(op.solve_cost(cost), reference, rtol=1e-10, atol=0.0)
+
+
+def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
+    rng = np.random.default_rng(15)
+    g = generate_example1(2)
+    system = random_system(rng, g, 1, 1)
+    policy = zero_policy(g, 1, 1)
+    bundle = build_regression(rollout(system, policy, 500, 1.0, seed=16), (1, 2), policy,
+                              (1, 2), system)
+    operator = bundle.phi.T @ (bundle.phi - bundle.psi_plus + bundle.f_row[None, :])
+    diag = lstdq_solve(bundle).diagnostics
+    assert diag.threshold == 1e-10
+    assert diag.sigma_min == pytest.approx(scipy.linalg.svdvals(operator)[-1], rel=1e-8)
+    # the Hager/Higham estimate bounds the true reciprocal 1-norm condition from above
+    true_rcond = 1.0 / np.linalg.cond(operator, 1)
+    assert true_rcond * (1 - 1e-8) <= diag.rcond <= 10.0 * true_rcond
+    assert LstdqOperator(bundle).diagnostics.sigma_min is None
 
 
 def test_noise_free_recovery_is_exact_scalar():
