@@ -10,13 +10,8 @@ from .graphs import (
     GraphValidationError,
     GraphicalConditionReport,
     build_coupling_graphs,
-    check_graphical_conditions,
     dependency_sets,
-    direct_dependence_set,
-    forward_reachability_set,
-    gradient_dependence_set,
-    reachability_set,
-    value_dependence_set,
+    graphical_conditions,
     value_dependency_edges,
 )
 from .linalg import (

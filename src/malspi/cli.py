@@ -22,8 +22,8 @@ import click
 
 from .bounds import bound_inputs_from_subsystem, sample_bound_direct, sample_bound_indirect
 from .config import ExperimentConfig, load_config, parse_config
-from .graphs import check_graphical_conditions, dependency_sets
-from .policy_iteration import Architecture
+from .graphs import CouplingGraphs, dependency_sets, graphical_conditions
+from .policy_iteration import ARCHITECTURE_NAMES
 from .runner import run_experiment, timing_benchmark, write_bench_csv
 from .system import zero_policy
 from .verify import run_all_checks
@@ -55,6 +55,16 @@ def _apply_overrides(config: ExperimentConfig, seeds, archs, n_agents) -> Experi
     return parse_config(data)
 
 
+def _selected_agents(graphs: CouplingGraphs, agent: int | None) -> list[int]:
+    if agent is None:
+        return list(graphs.agents)
+    if agent not in graphs.agents:
+        raise click.BadParameter(
+            f"agent {agent} is outside 1..{graphs.n_agents}", param_hint="'--agent'"
+        )
+    return [agent]
+
+
 @click.group()
 @click.option("--verbose", is_flag=True, help="Log per-run progress.")
 def main(verbose: bool) -> None:
@@ -69,7 +79,7 @@ _arch_opt = click.option(
     "--arch",
     "archs",
     multiple=True,
-    type=click.Choice([a.value for a in Architecture]),
+    type=click.Choice(list(ARCHITECTURE_NAMES)),
     help="Override config architectures.",
 )
 _n_opt = click.option("--n-agents", type=int, default=None, help="Override agent count.")
@@ -100,18 +110,12 @@ def graphs_cmd(config_path: str, agent: int | None, n_agents) -> None:
     """Print dependency sets and coupling-condition reports as JSON."""
     config = _apply_overrides(load_config(config_path), (), (), n_agents)
     graphs = config.build_graphs()
+    agents = _selected_agents(graphs, agent)
     deps = dependency_sets(graphs)
-    agents = [agent] if agent is not None else list(graphs.agents)
+    conditions = graphical_conditions(graphs)
     report = {"n_agents": graphs.n_agents, "agents": {}}
     for i in agents:
-        cond = check_graphical_conditions(graphs, i)
-        partner_reports = {}
-        for j in deps.gradient[i]:
-            rep = check_graphical_conditions(graphs, i, j)
-            partner_reports[str(j)] = {
-                "cond_b": rep.cond_b,
-                "value_set_strictly_contained": rep.value_set_strictly_contained,
-            }
+        cond = conditions[i]
         report["agents"][str(i)] = {
             "reachability": list(deps.reach[i]),
             "value_set": list(deps.value[i]),
@@ -119,7 +123,10 @@ def graphs_cmd(config_path: str, agent: int | None, n_agents) -> None:
             "direct_set": list(deps.direct[i]),
             "cond_a": cond.cond_a,
             "direct_set_proper": cond.direct_set_proper,
-            "partners": partner_reports,
+            "partners": {
+                str(j): {"cond_b": cond_b, "value_set_strictly_contained": strict}
+                for j, (cond_b, strict) in cond.partners.items()
+            },
         }
     click.echo(json.dumps(report, indent=2))
 
@@ -136,9 +143,9 @@ def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: 
     config = _apply_overrides(load_config(config_path), (), (), n_agents)
     system = config.build_system()
     graphs = system.graphs
+    agents = _selected_agents(graphs, agent)
     deps = dependency_sets(graphs)
     policy = zero_policy(graphs, system.n_x, system.n_u)
-    agents = [agent] if agent is not None else list(graphs.agents)
     # One measurement per distinct (agent set, cost owners) pair: a value
     # set recurs as a member of every gradient set that contains its owner.
     measured = {}

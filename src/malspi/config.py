@@ -169,6 +169,10 @@ class ExperimentConfig:
             Architecture.parse(name)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        for key, values in (("architectures", self.architectures), ("seeds", self.seeds)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated} more than once")
         if self.n_agents < 1:
             raise ConfigError(f"n_agents must be positive, got {self.n_agents}")
         # Fail early on out-of-range explicit edges.

@@ -5,27 +5,32 @@ agent's dynamics (state graph), observations (observation graph), and stage
 cost (cost graph).  An edge (i, j) means agent i appears in agent j's index
 set.  Everything downstream (subsystem extraction, per-agent Q-function
 supports, gradient aggregation) is driven by reachability closures over the
-union of the state and observation graphs:
+union of the state and observation graphs, computed for every agent at once
+by ``dependency_sets``:
 
-* ``reachability_set(g, i)``       agents with a directed path to i, plus i
-* ``value_dependence_set(g, i)``   union of reachability sets over i's cost
-                                   in-neighbors; the exact support of agent
-                                   i's local Q-function
-* ``gradient_dependence_set``      transpose relation: agents whose local Q
-                                   depends on i
-* ``direct_dependence_set``        union of value sets over the gradient set;
-                                   the support of the aggregated Q used by the
-                                   direct learning architecture
+* ``reach[i]``     agents with a directed path to i, plus i
+* ``value[i]``     union of reachability sets over i's cost in-neighbors;
+                   the exact support of agent i's local Q-function
+* ``gradient[i]``  transpose relation: agents whose local Q depends on i
+* ``direct[i]``    union of value sets over the gradient set; the support
+                   of the aggregated Q used by the direct learning
+                   architecture
 
-All operations are pure functions of immutable inputs.
+``graphical_conditions`` evaluates the necessary-and-sufficient coupling
+conditions for every agent from forward closures and cost successors, a
+route independent of the sets it is checked against.  The neighbour maps of
+each graph are built once per ``CouplingGraphs``.  All operations are pure
+functions of immutable inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 Edge = tuple[int, int]
 AgentSet = tuple[int, ...]
+Adjacency = dict[int, AgentSet]
 
 
 class GraphValidationError(ValueError):
@@ -45,6 +50,17 @@ def _validate_edges(name: str, edges: Iterable[Iterable[int]], n_agents: int) ->
             )
         out.add((a, b))
     return frozenset(out)
+
+
+def _adjacency(edges: frozenset[Edge], n_agents: int, *, forward: bool) -> Adjacency:
+    """Sorted out-neighbours (``forward``) or in-neighbours of every agent."""
+    members: dict[int, set[int]] = {i: set() for i in range(1, n_agents + 1)}
+    for a, b in edges:
+        if forward:
+            members[a].add(b)
+        else:
+            members[b].add(a)
+    return {i: tuple(sorted(m)) for i, m in members.items()}
 
 
 @dataclass(frozen=True)
@@ -67,29 +83,39 @@ class CouplingGraphs:
         """All agent indices, 1-indexed."""
         return range(1, self.n_agents + 1)
 
-    def _in_neighbors(self, edges: frozenset[Edge], i: int) -> AgentSet:
-        self.require_valid_agent(i)
-        return tuple(sorted(j for (j, k) in edges if k == i))
+    @cached_property
+    def _maps(self) -> dict[str, Adjacency]:
+        # Built on first use and kept: every neighbour query is a lookup.
+        n = self.n_agents
+        so = self.edges_s | self.edges_o
+        return {
+            "state_in": _adjacency(self.edges_s, n, forward=False),
+            "observation_in": _adjacency(self.edges_o, n, forward=False),
+            "cost_in": _adjacency(self.edges_c, n, forward=False),
+            "cost_out": _adjacency(self.edges_c, n, forward=True),
+            "so_in": _adjacency(so, n, forward=False),
+            "so_out": _adjacency(so, n, forward=True),
+        }
 
-    def _out_neighbors(self, edges: frozenset[Edge], i: int) -> AgentSet:
+    def _neighbors(self, kind: str, i: int) -> AgentSet:
         self.require_valid_agent(i)
-        return tuple(sorted(k for (j, k) in edges if j == i))
+        return self._maps[kind][i]
 
     def state_in_neighbors(self, i: int) -> AgentSet:
         """Agents whose state/control enters agent i's dynamics."""
-        return self._in_neighbors(self.edges_s, i)
+        return self._neighbors("state_in", i)
 
     def observation_in_neighbors(self, i: int) -> AgentSet:
         """Agents whose state agent i observes."""
-        return self._in_neighbors(self.edges_o, i)
+        return self._neighbors("observation_in", i)
 
     def cost_in_neighbors(self, i: int) -> AgentSet:
         """Agents whose state/control enters agent i's stage cost."""
-        return self._in_neighbors(self.edges_c, i)
+        return self._neighbors("cost_in", i)
 
     def cost_out_neighbors(self, i: int) -> AgentSet:
         """Agents whose stage cost depends on agent i."""
-        return self._out_neighbors(self.edges_c, i)
+        return self._neighbors("cost_out", i)
 
     def require_valid_agent(self, i: int) -> None:
         if not (isinstance(i, (int,)) and 1 <= i <= self.n_agents):
@@ -118,90 +144,17 @@ def build_coupling_graphs(
     )
 
 
-def _so_edges(graphs: CouplingGraphs) -> frozenset[Edge]:
-    return graphs.edges_s | graphs.edges_o
-
-
-def _bfs(adjacency: dict[int, list[int]], start: int) -> set[int]:
+def _closure(adjacency: Adjacency, start: int) -> set[int]:
+    """``start`` and every agent reachable from it along ``adjacency``."""
     seen = {start}
     pending = [start]
     while pending:
         node = pending.pop()
-        for nxt in adjacency.get(node, ()):
+        for nxt in adjacency[node]:
             if nxt not in seen:
                 seen.add(nxt)
                 pending.append(nxt)
     return seen
-
-
-def _in_adjacency(edges: frozenset[Edge]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(b, []).append(a)
-    return adj
-
-
-def _out_adjacency(edges: frozenset[Edge]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-    return adj
-
-
-def reachability_set(graphs: CouplingGraphs, i: int) -> AgentSet:
-    """Agents that reach i through the combined state/observation graph.
-
-    Includes i itself by definition.  Computed by breadth-first traversal
-    over reversed edges, O(N + |E|) per agent.
-    """
-    graphs.require_valid_agent(i)
-    return tuple(sorted(_bfs(_in_adjacency(_so_edges(graphs)), i)))
-
-
-def forward_reachability_set(graphs: CouplingGraphs, i: int) -> AgentSet:
-    """Agents reachable from i through the combined state/observation graph.
-
-    The edge-transposed counterpart of ``reachability_set``; includes i
-    itself, mirroring the self-inclusion convention of the reverse set.
-    """
-    graphs.require_valid_agent(i)
-    return tuple(sorted(_bfs(_out_adjacency(_so_edges(graphs)), i)))
-
-
-def value_dependence_set(graphs: CouplingGraphs, i: int) -> AgentSet:
-    """Exact support of agent i's local Q-function.
-
-    Union of the reachability sets of agent i's cost in-neighbors.  Closed
-    under the reachability relation: any member's reachability set is
-    contained in the result.
-    """
-    graphs.require_valid_agent(i)
-    adj = _in_adjacency(_so_edges(graphs))
-    members: set[int] = set()
-    for k in graphs.cost_in_neighbors(i):
-        members |= _bfs(adj, k)
-    return tuple(sorted(members))
-
-
-def gradient_dependence_set(graphs: CouplingGraphs, i: int) -> AgentSet:
-    """Agents whose local Q-function depends on agent i (transpose relation)."""
-    graphs.require_valid_agent(i)
-    return tuple(
-        sorted(j for j in graphs.agents if i in value_dependence_set(graphs, j))
-    )
-
-
-def direct_dependence_set(graphs: CouplingGraphs, i: int) -> AgentSet:
-    """Union of value dependence sets over agent i's gradient set.
-
-    Support of the aggregated Q-function that the direct architecture
-    estimates for agent i.
-    """
-    graphs.require_valid_agent(i)
-    members: set[int] = set()
-    for j in gradient_dependence_set(graphs, i):
-        members.update(value_dependence_set(graphs, j))
-    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)
@@ -234,9 +187,13 @@ class DependencySets:
 
 
 def dependency_sets(graphs: CouplingGraphs) -> DependencySets:
-    """Compute reachability, value, gradient, and direct sets for all agents."""
-    adj = _in_adjacency(_so_edges(graphs))
-    reach = {i: tuple(sorted(_bfs(adj, i))) for i in graphs.agents}
+    """Compute reachability, value, gradient, and direct sets for all agents.
+
+    One traversal of the reversed state/observation graph per agent, O(N + |E|)
+    each; the other sets are unions over the reachability sets.
+    """
+    so_in = graphs._maps["so_in"]
+    reach = {i: tuple(sorted(_closure(so_in, i))) for i in graphs.agents}
     value: dict[int, AgentSet] = {}
     for i in graphs.agents:
         members: set[int] = set()
@@ -264,90 +221,80 @@ def value_dependency_edges(graphs: CouplingGraphs) -> frozenset[Edge]:
     return frozenset((j, i) for i in graphs.agents for j in deps.value[i])
 
 
-def is_closed_set(graphs: CouplingGraphs, agent_set: Iterable[int]) -> bool:
-    """True when the set contains every agent that reaches any of its members."""
-    members = set(agent_set)
-    adj = _in_adjacency(_so_edges(graphs))
-    return all(set(adj.get(j, ())) <= members for j in members)
-
-
 def missing_closure_agent(graphs: CouplingGraphs, agent_set: Iterable[int]) -> Optional[int]:
     """An agent that violates closure of the set, or None when closed."""
     members = set(agent_set)
-    adj = _in_adjacency(_so_edges(graphs))
+    so_in = graphs._maps["so_in"]
     for j in sorted(members):
-        for pred in sorted(adj.get(j, ())):
+        for pred in so_in.get(j, ()):
             if pred not in members:
                 return pred
     return None
 
 
+def _forward_closure(graphs: CouplingGraphs, i: int) -> set[int]:
+    """Agents reachable from i through the state/observation graph, plus i."""
+    return _closure(graphs._maps["so_out"], i)
+
+
 @dataclass(frozen=True)
 class GraphicalConditionReport:
-    """Outcome of the necessary-and-sufficient coupling conditions.
+    """Outcome of the necessary-and-sufficient coupling conditions for one agent.
 
-    ``cond_a`` evaluates whether some agent stays outside agent i's direct
+    ``cond_a`` evaluates whether some agent stays outside the agent's direct
     dependence set, via the forward-reachability / cost-successor
-    intersection test.  ``direct_set_proper`` is the direct cardinality
-    check it must match.  ``cond_b`` (only when a partner j is supplied)
-    tests strict containment of agent j's value set in i's direct set, with
-    ``value_set_strictly_contained`` the direct check.
+    intersection test; ``direct_set_proper`` is the direct cardinality check
+    it must match.  ``partners`` maps every j in the agent's gradient set to
+    ``(cond_b, value_set_strictly_contained)``: condition (b) for j, and the
+    direct check of strict containment of j's value set in the agent's
+    direct set that it must match.
     """
 
     agent: int
     cond_a: bool
     direct_set_proper: bool
-    partner: Optional[int] = None
-    cond_b: Optional[bool] = None
-    value_set_strictly_contained: Optional[bool] = None
+    partners: dict[int, tuple[bool, bool]]
 
 
-def check_graphical_conditions(
-    graphs: CouplingGraphs, i: int, j: Optional[int] = None
-) -> GraphicalConditionReport:
-    """Evaluate the graphical sample-efficiency conditions for agent i.
+def graphical_conditions(graphs: CouplingGraphs) -> dict[int, GraphicalConditionReport]:
+    """Evaluate the graphical sample-efficiency conditions for every agent.
 
-    Condition (a): there exists an agent k such that no forward-reachable
-    agent of i and no forward-reachable agent of k share a cost successor.
-    Equivalent to the direct dependence set being a proper subset of all
-    agents.
+    Agents a and b *share a cost successor* when some agent forward-reachable
+    from a and some agent forward-reachable from b have a common cost
+    out-neighbour, i.e. when the cost successors reached from a and from b
+    intersect.  Each forward closure is computed once.
 
-    Condition (b), for j in agent i's gradient set: there exist an agent k
-    outside j's value set and forward-reachable agents m (of i) and p (of k)
-    sharing a cost successor.  Equivalent to j's value set being strictly
-    contained in i's direct set.  Any shared cost successor found this way
-    necessarily lies in i's gradient set.
+    Condition (a) for agent i: some agent k does not share a cost successor
+    with i.  Equivalent to i's direct dependence set being a proper subset
+    of all agents.
 
-    Raises GraphValidationError when j is given but not in i's gradient set.
+    Condition (b), for j in agent i's gradient set: some agent k outside j's
+    value set shares a cost successor with i.  Equivalent to j's value set
+    being strictly contained in i's direct set.  Any shared cost successor
+    found this way necessarily lies in i's gradient set.
     """
-    graphs.require_valid_agent(i)
     deps = dependency_sets(graphs)
-    fwd = {a: forward_reachability_set(graphs, a) for a in graphs.agents}
-    cost_succ = {a: set(graphs.cost_out_neighbors(a)) for a in graphs.agents}
+    reached_cost = {
+        a: frozenset(c for m in _forward_closure(graphs, a) for c in graphs.cost_out_neighbors(m))
+        for a in graphs.agents
+    }
 
     def shares_cost_successor(a: int, b: int) -> bool:
-        return any(cost_succ[m] & cost_succ[p] for m in fwd[a] for p in fwd[b])
+        return not reached_cost[a].isdisjoint(reached_cost[b])
 
-    cond_a = any(not shares_cost_successor(i, k) for k in graphs.agents)
-    direct_set_proper = len(deps.direct[i]) < graphs.n_agents
-
-    cond_b = None
-    strict = None
-    if j is not None:
-        graphs.require_valid_agent(j)
-        if j not in deps.gradient[i]:
-            raise GraphValidationError(
-                f"agent {j} is not in the gradient dependence set of agent {i}"
+    reports = {}
+    for i in graphs.agents:
+        partners = {}
+        for j in deps.gradient[i]:
+            outside = [k for k in graphs.agents if k not in deps.value[j]]
+            partners[j] = (
+                any(shares_cost_successor(i, k) for k in outside),
+                set(deps.value[j]) < set(deps.direct[i]),
             )
-        outside = [k for k in graphs.agents if k not in deps.value[j]]
-        cond_b = any(shares_cost_successor(i, k) for k in outside)
-        strict = set(deps.value[j]) < set(deps.direct[i])
-
-    return GraphicalConditionReport(
-        agent=i,
-        cond_a=cond_a,
-        direct_set_proper=direct_set_proper,
-        partner=j,
-        cond_b=cond_b,
-        value_set_strictly_contained=strict,
-    )
+        reports[i] = GraphicalConditionReport(
+            agent=i,
+            cond_a=any(not shares_cost_successor(i, k) for k in graphs.agents),
+            direct_set_proper=len(deps.direct[i]) < graphs.n_agents,
+            partners=partners,
+        )
+    return reports

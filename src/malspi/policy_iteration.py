@@ -4,19 +4,23 @@ Each iteration rolls out a fresh trajectory under the fixed play policy,
 evaluates quadratic Q-functions per agent by restricted LSTDQ, and performs
 one gradient step on every agent's structured gain.
 
-The four architectures differ only in where each cost owner's Q-function is
+The architectures differ only in where each cost owner's Q-function is
 estimated:
 
-* ``direct``               on the agent's direct dependence set
-* ``indirect``             on each owner's own value dependence set
-* ``undecomposed_direct``  on the full agent set
-* ``centralized``          on the full agent set
+* ``direct``       on the agent's direct dependence set
+* ``indirect``     on each owner's own value dependence set
+* ``centralized``  on the full agent set
+
+``undecomposed_direct`` (the direct estimator without the decomposition)
+also estimates every owner's Q-function on the full agent set, so it is a
+second name for ``centralized``: ``Architecture.parse`` maps it there and
+the experiment runner runs the pair once.
 
 Estimation is unified as one regression solve per (estimation set, cost
 owner) pair; an agent's update aggregates the embedded solutions over its
 gradient dependence set, floors the aggregate's eigenvalues, and descends
 the resulting quadratic.  Forcing every dependence set to the full agent
-set therefore collapses all four architectures onto the identical
+set therefore collapses every architecture onto the identical
 computation.  Solves are deduplicated across agents that share an
 estimation set, which never changes any agent's result.
 """
@@ -56,17 +60,24 @@ AgentSet = tuple[int, ...]
 
 class Architecture(str, Enum):
     CENTRALIZED = "centralized"
-    UNDECOMPOSED_DIRECT = "undecomposed_direct"
     DIRECT = "direct"
     INDIRECT = "indirect"
 
     @classmethod
     def parse(cls, name: str) -> "Architecture":
+        """The architecture a configured name runs; aliases resolve here."""
         try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(a.value for a in cls)
-            raise ValueError(f"unknown architecture {name!r}; expected one of: {valid}")
+            return ARCHITECTURE_NAMES[name]
+        except KeyError:
+            valid = ", ".join(ARCHITECTURE_NAMES)
+            raise ValueError(f"unknown architecture {name!r}; expected one of: {valid}") from None
+
+
+# Every accepted architecture name and the architecture it runs.
+ARCHITECTURE_NAMES: dict[str, Architecture] = {
+    **{a.value: a for a in Architecture},
+    "undecomposed_direct": Architecture.CENTRALIZED,
+}
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,7 @@ def architecture_plans(
             est_for = {j: deps.value[j] for j in grad_set}
             update_set = deps.direct[i]
             own = deps.value[i]
-        else:  # centralized and undecomposed_direct evaluate on everything
+        else:  # centralized evaluates on everything
             est_for = {j: everyone for j in grad_set}
             update_set = everyone
             own = everyone

@@ -116,9 +116,11 @@ def run_experiment(
     """Run all (architecture, seed) cells and emit CSV artifacts.
 
     Artifacts under the output root: ``curves.csv``, ``timing.csv``, and
-    ``<architecture>/seed_<seed>/agents.csv`` per run.  When no output
-    location is configured, no files are written and the tables are only
-    returned.
+    ``<architecture>/seed_<seed>/agents.csv`` per configured name and seed.
+    Names that parse to the same architecture (``undecomposed_direct`` and
+    ``centralized``) share one run per seed, reported under each name.
+    When no output location is configured, no files are written and the
+    tables are only returned.
     """
     system = config.build_system()
     out_dir: Optional[Path] = None
@@ -129,12 +131,17 @@ def run_experiment(
 
     curves: list[CurveRow] = []
     seconds_by_arch: dict[str, list[float]] = {}
+    runs: dict[tuple[Architecture, int], list[IterationRecord]] = {}
     for arch_name in config.architectures:
         architecture = Architecture.parse(arch_name)
         seconds_by_arch[arch_name] = []
         for seed in config.seeds:
-            logger.info("running %s seed %d", arch_name, seed)
-            records = run_malspi(system, architecture, config.malspi_config(seed))
+            if (architecture, seed) not in runs:
+                logger.info("running %s seed %d", arch_name, seed)
+                runs[architecture, seed] = run_malspi(
+                    system, architecture, config.malspi_config(seed)
+                )
+            records = runs[architecture, seed]
             seconds_by_arch[arch_name].extend(_iteration_seconds(records))
             for record in records:
                 curves.append(
@@ -299,11 +306,10 @@ def timing_benchmark(
     if t_mode not in ("fixed", "auto"):
         raise ValueError(f"t_mode must be 'fixed' or 'auto', got {t_mode!r}")
     archs = tuple(architectures) if architectures is not None else config.architectures
-    for name in archs:
-        Architecture.parse(name)
+    parsed = {name: Architecture.parse(name) for name in archs}
+    full_dim_archs = {name for name, a in parsed.items() if a is Architecture.CENTRALIZED}
 
     cells: list[BenchCell] = []
-    full_dim_archs = {Architecture.CENTRALIZED.value, Architecture.UNDECOMPOSED_DIRECT.value}
     for n in n_list:
         cfg_n = _with_overrides(config, n, archs, warmup + measured)
         active = [a for a in archs if not (a in full_dim_archs and n > centralized_max_n)]
@@ -319,9 +325,8 @@ def timing_benchmark(
                 )
                 continue
             logger.info("benchmark %s at N=%d (T=%d)", arch_name, n, t_run)
-            mcfg = cfg_n.malspi_config(cfg_n.seeds[0])
-            mcfg = _replace_rollout(mcfg, t_run)
-            records = run_malspi(system, Architecture.parse(arch_name), mcfg)
+            mcfg = replace(cfg_n.malspi_config(cfg_n.seeds[0]), t_rollout=int(t_run))
+            records = run_malspi(system, parsed[arch_name], mcfg)
             measured_records = [r for r in records if r.iteration > 0][warmup:]
             secs = _iteration_seconds(measured_records)
             row_cells.append(
@@ -367,10 +372,6 @@ def _with_overrides(
     if data["graphs"] is not None and config.n_agents != n_agents:
         raise ValueError("explicit graphs cannot be rescaled; use a named example for benchmarks")
     return parse_config(data)
-
-
-def _replace_rollout(mcfg, t_run: int):
-    return replace(mcfg, t_rollout=int(t_run))
 
 
 BENCH_HEADER = [

@@ -128,12 +128,6 @@ class StructuredPolicy:
             blocks[(i, j)] = _as_readonly(row[:, k * self.n_x : (k + 1) * self.n_x])
         return structured_policy_from_blocks(self.graphs, self.n_x, self.n_u, blocks)
 
-    def restricted_gain(self, agent_set: Iterable[int]) -> np.ndarray:
-        """Gain restricted to the set's coordinates; exact on closed sets."""
-        xs = x_coords(agent_set, self.n_x)
-        us = u_coords(agent_set, self.n_u)
-        return self.gain[np.ix_(us, xs)]
-
 
 def structured_policy_from_blocks(
     graphs: CouplingGraphs,

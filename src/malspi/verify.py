@@ -18,8 +18,9 @@ import numpy as np
 from .graphs import (
     CouplingGraphs,
     build_coupling_graphs,
-    check_graphical_conditions,
     dependency_sets,
+    graphical_conditions,
+    value_dependency_edges,
 )
 from .examples import generate_example1, generate_example2
 from .linalg import (
@@ -370,24 +371,27 @@ def check_graph_suite(seed: int = 0, n_graphs: int = 60) -> CheckResult:
             for j in graphs.agents:
                 if (j in deps.gradient[i]) != (i in deps.value[j]):
                     return CheckResult("graph dependency suite", False, f"duality fails at ({i},{j})")
-            report = check_graphical_conditions(graphs, i)
+        for i, report in graphical_conditions(graphs).items():
             if report.cond_a != report.direct_set_proper:
                 return CheckResult(
                     "graph dependency suite", False, f"condition (a) mismatch at agent {i}"
                 )
-            for j in deps.gradient[i]:
-                rep = check_graphical_conditions(graphs, i, j)
-                if rep.cond_b != rep.value_set_strictly_contained:
+            for j, (cond_b, strict) in report.partners.items():
+                if cond_b != strict:
                     return CheckResult(
                         "graph dependency suite", False, f"condition (b) mismatch at ({i},{j})"
                     )
     return CheckResult("graph dependency suite", True, f"{n_graphs} random graphs")
 
 
-def check_example_structure() -> CheckResult:
-    from .graphs import value_dependency_edges
+def check_example_structure(ns: Sequence[int] = (8, 20)) -> CheckResult:
+    """Value graphs and set-size gaps of the two benchmark layouts.
 
-    for n in (8, 20):
+    Example 1 (ring) at every N in ``ns``: E_Q = E_O and a direct-minus-value
+    gap of 4.  Example 2 (leader-follower) at N = 8: E_Q = E_C and the
+    leader's direct set is the whole team.
+    """
+    for n in ns:
         g1 = generate_example1(n)
         if value_dependency_edges(g1) != g1.edges_o:
             return CheckResult("example structure", False, f"example 1 N={n}: E_Q != E_O")

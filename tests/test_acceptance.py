@@ -6,7 +6,7 @@ oracles; the learning-curve and timing criteria are qualitative replications
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The learning-curve criterion runs the two 8-agent benchmark
-topologies end to end (20 seeds, four architectures each) and is the slow
+topologies end to end (20 seeds, four architecture names each) and is the slow
 part of the suite.
 """
 import math
@@ -15,12 +15,8 @@ import time
 import numpy as np
 
 from malspi.config import parse_config
-from malspi.examples import build_example_system, generate_example1, generate_example2
-from malspi.graphs import (
-    check_graphical_conditions,
-    dependency_sets,
-    value_dependency_edges,
-)
+from malspi.examples import build_example_system, generate_example1
+from malspi.graphs import dependency_sets
 from malspi.linalg import svec
 from malspi.lstdq import build_regression, lstdq_solve
 from malspi.policy_iteration import Architecture, MalspiConfig, run_malspi
@@ -36,6 +32,8 @@ from malspi.system import (
 )
 from malspi.verify import (
     build_noise_free_variant,
+    check_example_structure,
+    check_graph_suite,
     decomposed_policy_gradient,
     finite_difference_policy_gradient,
     random_graphs,
@@ -181,32 +179,13 @@ def test_criterion_4_lstdq_exactness_and_rate():
 
 def test_criterion_5_graph_suite():
     start = time.perf_counter()
-    rng = np.random.default_rng(505)
-    for _ in range(200):
-        n = int(rng.integers(2, 9))
-        graphs = random_graphs(rng, n, edge_prob=float(rng.uniform(0.05, 0.5)))
-        deps = dependency_sets(graphs)
-        for i in graphs.agents:
-            assert i in deps.reach[i]
-            for j in deps.value[i]:
-                assert set(deps.reach[j]) <= set(deps.value[i])
-            for j in graphs.agents:
-                assert (j in deps.gradient[i]) == (i in deps.value[j])
-            cond = check_graphical_conditions(graphs, i)
-            assert cond.cond_a == cond.direct_set_proper
-            for j in deps.gradient[i]:
-                rep = check_graphical_conditions(graphs, i, j)
-                assert rep.cond_b == rep.value_set_strictly_contained
-    for n in (8, 20, 40):
-        ring = generate_example1(n)
-        assert value_dependency_edges(ring) == ring.edges_o
-        deps = dependency_sets(ring)
-        assert max(len(deps.direct[i]) - len(deps.value[i]) for i in ring.agents) == 4
-    star = generate_example2(8)
-    assert dependency_sets(star).direct[1] == tuple(range(1, 9))
+    suite = check_graph_suite(seed=505, n_graphs=200)
+    layouts = check_example_structure(ns=(8, 20, 40))
     elapsed = time.perf_counter() - start
-    ok = elapsed < 60.0
+    ok = suite.passed and layouts.passed and elapsed < 60.0
     report(5, ok, f"200 random graphs plus benchmark layouts in {elapsed:.1f}s")
+    assert suite.passed, suite.detail
+    assert layouts.passed, layouts.detail
     assert elapsed < 60.0
 
 
@@ -340,5 +319,5 @@ def test_criterion_8_architecture_collapse():
         for got, want in zip(records, reference):
             identical = identical and got.gain.tobytes() == want.gain.tobytes()
             identical = identical and got.eval_cost == want.eval_cost
-    report(8, identical, "four architectures bitwise identical with full index sets")
+    report(8, identical, "every architecture bitwise identical with full index sets")
     assert identical

@@ -1,0 +1,57 @@
+"""The names the benchmark in ``perfbench/`` hooks into must exist.
+
+The benchmark times the library by rebinding call-site attributes
+(``perfbench/tracing.SPANS``) and imports a few names in its set-up probe.
+Deleting or renaming one of them would break ``perfbench/run.py --trace 1``
+without failing any other test.  These tests only read ``perfbench/``.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _parse(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def _resolve(module: str, attr_path: str):
+    owner = importlib.import_module(module)
+    for name in attr_path.split("."):
+        owner = getattr(owner, name)
+    return owner
+
+
+def _traced_sites() -> list[tuple[str, str]]:
+    # SPANS is a literal, so it is read without running the benchmark's code.
+    for node in _parse("tracing.py").body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "SPANS":
+            spans = ast.literal_eval(node.value)
+            return sorted({site for sites in spans.values() for site in sites})
+    raise AssertionError("perfbench/tracing.py defines no SPANS literal")
+
+
+SITES = _traced_sites()
+
+
+@pytest.mark.parametrize("module,attr_path", SITES, ids=[f"{m}:{a}" for m, a in SITES])
+def test_every_traced_call_site_resolves(module, attr_path):
+    assert callable(_resolve(module, attr_path))
+
+
+def test_setup_probe_imports_resolve():
+    tree = _parse("setup_probe.py")
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("malspi")
+        for alias in node.names
+    ]
+    assert ("malspi.graphs", "dependency_sets") in imported
+    assert ("malspi.policy_iteration", "architecture_plans") in imported
+    for module, name in imported:
+        assert callable(_resolve(module, name)), f"{module}.{name}"
+    assert callable(_resolve("malspi.policy_iteration", "Architecture.parse"))

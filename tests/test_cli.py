@@ -115,6 +115,16 @@ def test_bounds_measures_each_distinct_set_once(tmp_path, monkeypatch):
     assert len(certified) == len(pairs)
 
 
+@pytest.mark.parametrize("command", ["graphs", "bounds"])
+@pytest.mark.parametrize("agent", ["0", "9"])
+def test_out_of_range_agent_is_a_usage_error(config_file, command, agent):
+    result = CliRunner().invoke(main, [command, str(config_file), "--agent", agent])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+    assert f"agent {agent} is outside 1..4" in result.output
+    assert "--agent" in result.output
+
+
 def test_run_subcommand_writes_artifacts(config_file, tmp_path):
     out = tmp_path / "results"
     result = CliRunner().invoke(main, ["run", str(config_file), "--output", str(out)])

@@ -9,6 +9,8 @@ from malspi.examples import build_cost_blocks, generate_example1, generate_examp
 from malspi.graphs import build_coupling_graphs, dependency_sets, value_dependency_edges
 from malspi.io import read_trajectory_csv, write_q_estimate_csv, write_trajectory_csv
 from malspi.lstdq import build_regression, lstdq_solve
+from malspi import runner
+from malspi.policy_iteration import Architecture
 from malspi.runner import (
     BenchCell,
     full_set_feature_dim,
@@ -141,6 +143,16 @@ def test_config_rejects_unknown_example_and_architecture():
         parse_config({"n_agents": 4, "architectures": ["direct", "mystery"]})
 
 
+def test_config_rejects_repeated_architectures_and_seeds():
+    with pytest.raises(ConfigError, match=r"architectures lists \['direct'\]"):
+        parse_config({"n_agents": 4, "architectures": ["direct", "direct"]})
+    with pytest.raises(ConfigError, match=r"seeds lists \[0\]"):
+        parse_config({"n_agents": 4, "seeds": [0, 1, 0]})
+    # an alias is a different name for the same architecture, not a repeat
+    cfg = parse_config({"n_agents": 4, "architectures": ["centralized", "undecomposed_direct"]})
+    assert cfg.architectures == ("centralized", "undecomposed_direct")
+
+
 def test_config_with_explicit_graphs_builds_system():
     loops = [[i, i] for i in (1, 2)]
     cfg = parse_config(
@@ -221,6 +233,38 @@ def test_experiment_without_oracle_marks_q_err_empty(tmp_path):
     run_experiment(small_config(seeds=[0]), tmp_path)
     rows = (tmp_path / "direct" / "seed_0" / "agents.csv").read_text().splitlines()[1:]
     assert rows and all(row.split(",")[3] == "" for row in rows)
+
+
+def test_alias_pair_runs_once_per_seed_and_reports_under_both_names(tmp_path, monkeypatch):
+    calls = []
+    real_run = runner.run_malspi
+
+    def counted(system, architecture, mconfig):
+        calls.append((architecture, mconfig.seed))
+        return real_run(system, architecture, mconfig)
+
+    monkeypatch.setattr(runner, "run_malspi", counted)
+    cfg = small_config(architectures=["undecomposed_direct", "indirect", "centralized"])
+    table = run_experiment(cfg, tmp_path)
+    assert calls == [
+        (Architecture.CENTRALIZED, 0),
+        (Architecture.CENTRALIZED, 1),
+        (Architecture.INDIRECT, 0),
+        (Architecture.INDIRECT, 1),
+    ]
+    alias = [r for r in table.curves if r.architecture == "undecomposed_direct"]
+    central = [r for r in table.curves if r.architecture == "centralized"]
+    assert len(alias) == len(central) == 2 * 3  # two seeds, iterations 0..2
+    assert [(r.seed, r.iteration, r.eval_cost) for r in alias] == [
+        (r.seed, r.iteration, r.eval_cost) for r in central
+    ]
+    assert [r.architecture for r in table.timing] == list(cfg.architectures)
+    assert table.timing[0].mean_iteration_s == table.timing[2].mean_iteration_s
+    assert read_curves_csv(tmp_path / "curves.csv") == table.curves
+    for seed in (0, 1):
+        same = [(tmp_path / name / f"seed_{seed}" / "agents.csv").read_text()
+                for name in ("undecomposed_direct", "centralized")]
+        assert same[0] == same[1]
 
 
 def test_curves_identical_across_reruns(tmp_path):

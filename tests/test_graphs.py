@@ -4,14 +4,10 @@ import pytest
 
 from malspi.graphs import (
     GraphValidationError,
+    _forward_closure,
     build_coupling_graphs,
-    check_graphical_conditions,
     dependency_sets,
-    direct_dependence_set,
-    forward_reachability_set,
-    gradient_dependence_set,
-    reachability_set,
-    value_dependence_set,
+    graphical_conditions,
     value_dependency_edges,
 )
 from malspi.verify import random_graphs, reachability_closure_oracle, value_set_oracle
@@ -50,12 +46,12 @@ def test_example1_edge_count_with_self_loops():
 
 def test_reachability_linear_chain():
     g = build_coupling_graphs(3, [(1, 2), (2, 3)], [], [])
-    assert reachability_set(g, 3) == (1, 2, 3)
+    assert dependency_sets(g).reach[3] == (1, 2, 3)
 
 
 def test_reachability_self_inclusion_without_edges():
     g = build_coupling_graphs(5, [], [], [])
-    assert reachability_set(g, 5) == (5,)
+    assert dependency_sets(g).reach[5] == (5,)
 
 
 def test_reachability_matches_matrix_power_oracle():
@@ -63,30 +59,36 @@ def test_reachability_matches_matrix_power_oracle():
     for _ in range(30):
         g = random_graphs(rng, 6, edge_prob=float(rng.uniform(0.1, 0.5)))
         closure = reachability_closure_oracle(g)
+        deps = dependency_sets(g)
         for i in g.agents:
             expected = tuple(sorted(j + 1 for j in np.flatnonzero(closure[:, i - 1])))
-            assert reachability_set(g, i) == expected
+            assert deps.reach[i] == expected
 
 
-def test_reachability_rejects_bad_agent():
+def test_neighbor_accessors_reject_bad_agent():
     g = build_coupling_graphs(3, [], [], [])
-    with pytest.raises(GraphValidationError):
-        reachability_set(g, 4)
+    for accessor in (g.state_in_neighbors, g.observation_in_neighbors,
+                     g.cost_in_neighbors, g.cost_out_neighbors):
+        for bad in (0, 4):
+            with pytest.raises(GraphValidationError, match=r"outside 1\.\.3"):
+                accessor(bad)
 
 
 def test_value_set_decoupled_is_self():
     g = build_coupling_graphs(3, [(i, i) for i in (1, 2, 3)],
                               [(i, i) for i in (1, 2, 3)], [(i, i) for i in (1, 2, 3)])
+    deps = dependency_sets(g)
     for i in g.agents:
-        assert value_dependence_set(g, i) == (i,)
+        assert deps.value[i] == (i,)
 
 
 def test_value_set_matches_oracle_on_random_digraphs():
     rng = np.random.default_rng(21)
     for _ in range(40):
         g = random_graphs(rng, int(rng.integers(2, 8)), edge_prob=0.3)
+        deps = dependency_sets(g)
         for i in g.agents:
-            assert value_dependence_set(g, i) == value_set_oracle(g, i)
+            assert deps.value[i] == value_set_oracle(g, i)
 
 
 def test_value_sets_satisfy_closure():
@@ -105,7 +107,6 @@ def test_gradient_set_is_transpose_of_value_sets():
         g = random_graphs(rng, int(rng.integers(2, 9)), edge_prob=0.3)
         deps = dependency_sets(g)
         for i in g.agents:
-            assert gradient_dependence_set(g, i) == deps.gradient[i]
             for j in g.agents:
                 assert (j in deps.gradient[i]) == (i in deps.value[j])
 
@@ -119,7 +120,7 @@ def test_direct_set_is_union_over_gradient_set():
             expected = set()
             for j in deps.gradient[i]:
                 expected |= set(deps.value[j])
-            assert direct_dependence_set(g, i) == tuple(sorted(expected))
+            assert deps.direct[i] == tuple(sorted(expected))
             if i in deps.gradient[i]:
                 assert set(deps.value[i]) <= set(deps.direct[i])
 
@@ -143,15 +144,14 @@ def test_sets_grow_monotonically_with_added_edges():
 
 def test_forward_reachability_includes_self():
     g = build_coupling_graphs(4, [(1, 2)], [(2, 3)], [])
-    assert forward_reachability_set(g, 1) == (1, 2, 3)
-    assert forward_reachability_set(g, 4) == (4,)
+    assert _forward_closure(g, 1) == {1, 2, 3}
+    assert _forward_closure(g, 4) == {4}
 
 
 def test_condition_a_decoupled_true_for_all():
     loops = [(i, i) for i in range(1, 4)]
     g = build_coupling_graphs(3, loops, loops, loops)
-    for i in g.agents:
-        report = check_graphical_conditions(g, i)
+    for report in graphical_conditions(g).values():
         assert report.cond_a is True
         assert report.direct_set_proper is True
 
@@ -161,8 +161,7 @@ def test_condition_a_complete_cost_graph_false():
     complete = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     loops = [(i, i) for i in range(1, n + 1)]
     g = build_coupling_graphs(n, loops, loops, complete)
-    for i in g.agents:
-        report = check_graphical_conditions(g, i)
+    for report in graphical_conditions(g).values():
         assert report.cond_a is False
         assert report.direct_set_proper is False
 
@@ -172,19 +171,14 @@ def test_conditions_match_set_computations_on_random_graphs():
     for _ in range(60):
         g = random_graphs(rng, int(rng.integers(2, 9)), edge_prob=float(rng.uniform(0.1, 0.5)))
         deps = dependency_sets(g)
-        for i in g.agents:
-            report = check_graphical_conditions(g, i)
+        reports = graphical_conditions(g)
+        assert sorted(reports) == list(g.agents)
+        for i, report in reports.items():
+            assert report.agent == i
             assert report.cond_a == report.direct_set_proper
-            for j in deps.gradient[i]:
-                rep = check_graphical_conditions(g, i, j)
-                assert rep.cond_b == rep.value_set_strictly_contained
-
-
-def test_condition_b_requires_gradient_membership():
-    loops = [(i, i) for i in (1, 2)]
-    g = build_coupling_graphs(2, loops, loops, loops)
-    with pytest.raises(GraphValidationError):
-        check_graphical_conditions(g, 1, 2)
+            assert tuple(report.partners) == deps.gradient[i]
+            for cond_b, strict in report.partners.values():
+                assert cond_b == strict
 
 
 def test_value_dependency_edges_example2():
