@@ -119,6 +119,23 @@ class DirectBoundReport:
         }
 
 
+def _t_epsilon(inputs: BoundInputs, epsilon: float, weight: float = 1.0) -> float:
+    """Samples sufficient for accuracy ``weight * epsilon`` on one estimation set."""
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    nx, nu = float(inputs.n_x_set), float(inputs.n_u_set)
+    dims = nx + nu
+    w = inputs.w_factor
+    return max(
+        inputs.o_tilde**2
+        * w**2
+        * dims**3
+        * inputs.q_true_frobenius**2
+        / (inputs.sigma_eta**4 * weight**2 * epsilon**2),
+        inputs.o_tilde * w**2 * nx**2 * dims**2 / inputs.sigma_eta**4,
+    )
+
+
 def sample_bound_direct(inputs: BoundInputs, *, epsilon: Optional[float] = None) -> DirectBoundReport:
     """Trajectory-length requirement and error envelope for one regression set."""
     nx, nu = float(inputs.n_x_set), float(inputs.n_u_set)
@@ -156,25 +173,11 @@ def sample_bound_direct(inputs: BoundInputs, *, epsilon: Optional[float] = None)
         / (inputs.rho**2 * (1.0 - inputs.rho**2))
     )
 
-    t_epsilon = None
-    if epsilon is not None:
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        w = inputs.w_factor
-        t_epsilon = max(
-            inputs.o_tilde**2
-            * w**2
-            * dims**3
-            * inputs.q_true_frobenius**2
-            / (inputs.sigma_eta**4 * epsilon**2),
-            inputs.o_tilde * w**2 * nx**2 * dims**2 / inputs.sigma_eta**4,
-        )
-
     return DirectBoundReport(
         t_min=t_min,
         err_coefficient=err_coefficient,
         err_form="err(T) = err_coefficient / sqrt(T)",
-        t_epsilon=t_epsilon,
+        t_epsilon=None if epsilon is None else _t_epsilon(inputs, epsilon),
         inputs=inputs,
     )
 
@@ -252,24 +255,7 @@ def sample_bound_indirect(
 
     t_epsilon = None
     if epsilon is not None:
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        per_member = []
-        for inputs_j, w_j in zip(member_inputs, w):
-            nx, nu = float(inputs_j.n_x_set), float(inputs_j.n_u_set)
-            dims = nx + nu
-            wf = inputs_j.w_factor
-            per_member.append(
-                max(
-                    inputs_j.o_tilde**2
-                    * wf**2
-                    * dims**3
-                    * inputs_j.q_true_frobenius**2
-                    / (inputs_j.sigma_eta**4 * w_j**2 * epsilon**2),
-                    inputs_j.o_tilde * wf**2 * nx**2 * dims**2 / inputs_j.sigma_eta**4,
-                )
-            )
-        t_epsilon = max(per_member)
+        t_epsilon = max(_t_epsilon(m, epsilon, w_j) for m, w_j in zip(member_inputs, w))
 
     return IndirectBoundReport(
         t_min=t_min,

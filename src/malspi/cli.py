@@ -21,7 +21,7 @@ from pathlib import Path
 import click
 
 from .bounds import bound_inputs_from_subsystem, sample_bound_direct, sample_bound_indirect
-from .config import ExperimentConfig, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .graphs import CouplingGraphs, dependency_sets, graphical_conditions
 from .policy_iteration import ARCHITECTURE_NAMES
 from .runner import run_experiment, timing_benchmark, write_bench_csv
@@ -65,7 +65,17 @@ def _selected_agents(graphs: CouplingGraphs, agent: int | None) -> list[int]:
     return [agent]
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that reports a bad configuration as a one-line error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Main)
 @click.option("--verbose", is_flag=True, help="Log per-run progress.")
 def main(verbose: bool) -> None:
     logging.basicConfig(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,10 +22,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
-
-
-def _parse_float(text: str) -> Optional[float]:
-    return None if text == "" else float(text)
 
 
 def write_trajectory_csv(batch: TrajectoryBatch, path: str | Path) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -109,9 +109,9 @@ class RegressionBundle:
     """Feature matrices and costs of one restricted trajectory.
 
     ``phi`` and ``psi_plus`` are T x d; the noise row ``f_row`` is constant
-    across time.  ``owner_costs`` keeps each cost owner's unaggregated
-    stage-cost sequence so callers may solve per owner; ``c_hat`` is their
-    sum in ascending owner order.
+    across time.  ``owner_costs`` is T x k: column j is the unaggregated
+    stage-cost sequence of ``cost_owners[j]``, so one solve serves every
+    owner; ``c_hat`` is their row sum.
     """
 
     index_set: AgentSet
@@ -121,8 +121,7 @@ class RegressionBundle:
     phi: np.ndarray
     psi_plus: np.ndarray
     f_row: np.ndarray
-    c_hat: np.ndarray
-    owner_costs: Mapping[int, np.ndarray]
+    owner_costs: np.ndarray
     k_eval: np.ndarray
     sigma_w: float
 
@@ -139,9 +138,9 @@ class RegressionBundle:
         return self.phi.shape[0]
 
     @property
-    def f(self) -> np.ndarray:
-        """Noise-correction features broadcast to T x d."""
-        return np.broadcast_to(self.f_row, self.phi.shape)
+    def c_hat(self) -> np.ndarray:
+        """Aggregated cost sequence over every owner."""
+        return self.owner_costs.sum(axis=1)
 
 
 def _svec_rows(z: np.ndarray) -> np.ndarray:
@@ -210,10 +209,9 @@ def build_regression(
     f_row = svec(sub.sigma_w**2 * (g @ g.T))
 
     owners = tuple(sorted(set(int(a) for a in cost_owner_set)))
-    owner_costs = {j: _owner_cost_sequence(system, batch, j, t_length) for j in owners}
-    c_hat = np.zeros(t_length)
-    for j in owners:
-        c_hat = c_hat + owner_costs[j]
+    owner_costs = np.zeros((t_length, len(owners)))
+    for col, j in enumerate(owners):
+        owner_costs[:, col] = _owner_cost_sequence(system, batch, j, t_length)
 
     return RegressionBundle(
         index_set=agents,
@@ -223,7 +221,6 @@ def build_regression(
         phi=_svec_rows(z_now),
         psi_plus=_svec_rows(z_next),
         f_row=f_row,
-        c_hat=c_hat,
         owner_costs=owner_costs,
         k_eval=sub.k,
         sigma_w=sub.sigma_w,
@@ -283,7 +280,12 @@ class LstdqOperator:
         self._piv = piv
 
     def solve_cost(self, cost: np.ndarray) -> np.ndarray:
-        """Packed Q parameter for one aggregated cost sequence."""
+        """Packed Q parameters for a length-T cost sequence or a T x k block.
+
+        One product with Phi' and one LU solve serve every column: the
+        result is length d for a vector, d x k for a block, with column j
+        solving cost column j.
+        """
         rhs = self.bundle.phi.T @ np.asarray(cost, dtype=float)
         return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 

@@ -16,12 +16,14 @@ also estimates every owner's Q-function on the full agent set, so it is a
 second name for ``centralized``: ``Architecture.parse`` maps it there and
 the experiment runner runs the pair once.
 
-Estimation is unified as one regression solve per (estimation set, cost
-owner) pair; an agent's update aggregates the embedded solutions over its
-gradient dependence set, floors the aggregate's eigenvalues, and descends
-the resulting quadratic.  Forcing every dependence set to the full agent
-set therefore collapses every architecture onto the identical
-computation.  Solves are deduplicated across agents that share an
+Each iteration factorizes one regression per estimation set and solves it
+once for every cost owner estimated there (one multi-right-hand-side
+solve).  An agent's update sums the owners' Q matrices over its gradient
+dependence set, embedded into its update set, floors the sum's
+eigenvalues, and descends the resulting quadratic; the new rows of every
+agent are assembled into one policy.  Forcing every dependence set to the
+full agent set therefore collapses every architecture onto the identical
+computation.  Solves are shared across agents that use the same
 estimation set, which never changes any agent's result.
 """
 from __future__ import annotations
@@ -29,15 +31,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .graphs import DependencySets, dependency_sets
-from .linalg import InstabilityError, psd_project, smat, spectral_radius, svec
+from .linalg import InstabilityError, psd_project, smat, spectral_radius, svec_dim
 from .lstdq import (
     LstdqOperator,
-    QEstimate,
     SingularOperatorError,
     UnderdeterminedError,
     build_regression,
@@ -123,40 +124,41 @@ def architecture_plans(
 
 def policy_gradient_update(
     policy: StructuredPolicy,
-    agent: int,
-    q_hat: QEstimate,
+    estimates: Mapping[int, tuple[AgentSet, np.ndarray]],
     batch: TrajectoryBatch,
     alpha: float,
 ) -> StructuredPolicy:
-    """One gradient step on agent i's gain from an estimated quadratic.
+    """One gradient step on each listed agent's gain from an estimated quadratic.
 
-    K_i <- K_i - 2 alpha * mean_t [ (Q z_t)_{u_i rows} x_O(t)' ] with
-    z_t the batch's stacked state/control restricted to the estimate's
-    index set.  Only the blocks over agent i's observation in-neighbors
-    change; the sparsity pattern is preserved.
+    ``estimates[i] = (index_set, Q)`` with Q a quadratic form on the index
+    set's stacked (x, u) coordinates.  Agent i's step is
+    K_i <- K_i - 2 alpha * mean_t [ (Q z_t)_{u_i rows} x_O(t)' ] with z_t
+    the batch's stacked state/control restricted to the index set; the new
+    rows are assembled into one policy.  Only the blocks over each agent's
+    observation in-neighbors change, so the sparsity pattern is preserved.
+    Raises ValueError when an agent or an agent it observes lies outside
+    its index set.
     """
-    agent_set = q_hat.index_set
-    if agent not in agent_set:
-        raise ValueError(f"agent {agent} is not in the estimate's index set {agent_set}")
-    observed = policy.graphs.observation_in_neighbors(agent)
-    outside = [j for j in observed if j not in agent_set]
-    if outside:
-        raise ValueError(
-            f"agent {agent} observes {outside} outside the estimate's index set {agent_set}"
-        )
-    if not observed:
-        return policy
-
     t_length = batch.length
-    z = np.hstack([batch.states(agent_set)[:t_length], batch.controls(agent_set)])
-    w = z @ q_hat.matrix
-    nx_set = policy.n_x * len(agent_set)
-    pos = sorted(agent_set).index(agent)
-    cols = nx_set + pos * policy.n_u + np.arange(policy.n_u)
-    x_obs = batch.x[:t_length, x_coords(observed, policy.n_x)]
-    grad = (w[:, cols].T @ x_obs) / t_length
-    new_row = policy.row_gain(agent) - 2.0 * alpha * grad
-    return policy.with_row_gain(agent, new_row)
+    rows: dict[int, np.ndarray] = {}
+    for agent, (agent_set, q) in estimates.items():
+        if agent not in agent_set:
+            raise ValueError(f"agent {agent} is not in the estimate's index set {agent_set}")
+        observed = policy.graphs.observation_in_neighbors(agent)
+        outside = [j for j in observed if j not in agent_set]
+        if outside:
+            raise ValueError(
+                f"agent {agent} observes {outside} outside the estimate's index set {agent_set}"
+            )
+        if not observed:
+            continue
+        z = np.hstack([batch.states(agent_set)[:t_length], batch.controls(agent_set)])
+        pos = sorted(agent_set).index(agent)
+        cols = policy.n_x * len(agent_set) + pos * policy.n_u + np.arange(policy.n_u)
+        x_obs = batch.x[:t_length, x_coords(observed, policy.n_x)]
+        grad = ((z @ q[:, cols]).T @ x_obs) / t_length
+        rows[agent] = policy.row_gain(agent) - 2.0 * alpha * grad
+    return policy.with_row_gains(rows) if rows else policy
 
 
 @dataclass(frozen=True)
@@ -211,14 +213,6 @@ class IterationRecord:
     wall_update_s: float
 
 
-def _embed_packed(
-    q: np.ndarray, small: AgentSet, big: AgentSet, n_x: int, n_u: int
-) -> np.ndarray:
-    if small == big:
-        return q
-    return svec(embed_quadratic(smat(q), small, big, n_x, n_u))
-
-
 def _oracle_error(
     system: MultiAgentSystem,
     eval_policy: StructuredPolicy,
@@ -231,7 +225,7 @@ def _oracle_error(
         q_true = true_q_matrix(sub)
     except InstabilityError:
         return None, ("oracle_unstable",)
-    return float(np.linalg.norm(q_aggregate - svec(q_true))), ()
+    return float(np.linalg.norm(q_aggregate - q_true)), ()
 
 
 def run_malspi(
@@ -250,13 +244,19 @@ def run_malspi(
     """
     graphs = system.graphs
     n = graphs.n_agents
-    k0 = config.k0 if config.k0 is not None else zero_policy(graphs, system.n_x, system.n_u)
+    n_x, n_u = system.n_x, system.n_u
+    k0 = config.k0 if config.k0 is not None else zero_policy(graphs, n_x, n_u)
     rho0 = spectral_radius(system.a + system.b @ k0.gain)
     if rho0 >= 1.0:
         raise InstabilityError("initial policy does not stabilize the system", rho0)
 
     deps = DependencySets.full(n) if config.force_full_sets else dependency_sets(graphs)
     plans = architecture_plans(architecture, deps, n)
+    owner_sets: dict[AgentSet, set[int]] = {}
+    for plan in plans.values():
+        for est_set, owner in plan.terms:
+            owner_sets.setdefault(est_set, set()).add(owner)
+    owners_by_set = {s: tuple(sorted(owner_sets[s])) for s in sorted(owner_sets)}
 
     seed_children = np.random.SeedSequence(config.seed).spawn(2 * config.n_iterations + 1)
     policy = k0
@@ -288,113 +288,62 @@ def run_malspi(
             sigma0=config.sigma0,
         )
 
-        # --- policy evaluation: one factorization per distinct estimation set
+        # --- policy evaluation: one factorization and one solve per estimation set
         t0 = time.perf_counter()
-        owners_by_set: dict[AgentSet, set[int]] = {}
-        for plan in plans.values():
-            for est_set, owner in plan.terms:
-                owners_by_set.setdefault(est_set, set()).add(owner)
         solutions: dict[tuple[AgentSet, int], np.ndarray] = {}
         set_flags: dict[AgentSet, tuple[str, ...]] = {}
         set_rcond: dict[AgentSet, Optional[float]] = {}
-        for est_set in sorted(owners_by_set):
-            owners = tuple(sorted(owners_by_set[est_set]))
+        for est_set, owners in owners_by_set.items():
             try:
                 bundle = build_regression(batch, est_set, policy, owners, system)
             except UnderdeterminedError:
-                set_flags[est_set] = ("underdetermined",)
-                set_rcond[est_set] = None
+                set_flags[est_set], set_rcond[est_set] = ("underdetermined",), None
                 continue
             try:
                 op = LstdqOperator(bundle)
             except SingularOperatorError as err:
-                set_flags[est_set] = ("singular",)
-                set_rcond[est_set] = err.rcond
+                set_flags[est_set], set_rcond[est_set] = ("singular",), err.rcond
                 continue
-            set_flags[est_set] = ()
-            set_rcond[est_set] = op.diagnostics.rcond
-            for owner in owners:
-                solutions[(est_set, owner)] = op.solve_cost(bundle.owner_costs[owner])
+            set_flags[est_set], set_rcond[est_set] = (), op.diagnostics.rcond
+            packed = op.solve_cost(bundle.owner_costs)
+            for col, owner in enumerate(owners):
+                solutions[(est_set, owner)] = smat(packed[:, col])
         wall_eval = time.perf_counter() - t0
 
-        # --- policy improvement: aggregate, floor eigenvalues, gradient step
+        # --- policy improvement: aggregate, floor eigenvalues, one gradient step
         t1 = time.perf_counter()
-        new_policy = policy
+        estimates: dict[int, tuple[AgentSet, np.ndarray]] = {}
         diags: list[AgentDiagnostics] = []
         for i in graphs.agents:
             plan = plans[i]
-            own_m = (system.n_x + system.n_u) * len(plan.own_set)
-            own_d = own_m * (own_m + 1) // 2
-            if not plan.terms:
-                diags.append(
-                    AgentDiagnostics(
-                        agent=i,
-                        set_size=len(plan.own_set),
-                        feature_dim=own_d,
-                        rcond=None,
-                        flags=("empty_gradient_set",),
-                        q_error=None,
-                    )
-                )
-                continue
-            flags: tuple[str, ...] = ()
-            for est_set, _ in plan.terms:
-                flags = flags + set_flags.get(est_set, ())
-            flags = tuple(dict.fromkeys(flags))
-            if flags:
-                diags.append(
-                    AgentDiagnostics(
-                        agent=i,
-                        set_size=len(plan.own_set),
-                        feature_dim=own_d,
-                        rcond=set_rcond.get(plan.own_set),
-                        flags=flags,
-                        q_error=None,
-                    )
-                )
-                continue
-
-            aggregate = None
-            for est_set, owner in plan.terms:
-                packed = _embed_packed(
-                    solutions[(est_set, owner)],
-                    est_set,
-                    plan.update_set,
-                    system.n_x,
-                    system.n_u,
-                )
-                aggregate = packed if aggregate is None else aggregate + packed
-
+            flags = tuple(dict.fromkeys(f for s, _ in plan.terms for f in set_flags[s]))
             q_error = None
-            if config.oracle_diagnostics:
-                owners = tuple(owner for _, owner in plan.terms)
-                q_error, oracle_flags = _oracle_error(
-                    system, policy, plan.update_set, owners, aggregate
+            if not plan.terms:
+                flags = ("empty_gradient_set",)
+            elif not flags:
+                aggregate = sum(
+                    embed_quadratic(solutions[term], term[0], plan.update_set, n_x, n_u)
+                    for term in plan.terms
                 )
-                flags = flags + oracle_flags
-
-            floored = psd_project(smat(aggregate), config.zeta)
-            estimate = QEstimate(
-                q=svec(floored),
-                matrix=floored,
-                index_set=plan.update_set,
-                diagnostics=None,
-                zeta=config.zeta,
-            )
-            new_policy = policy_gradient_update(new_policy, i, estimate, batch, config.alpha)
+                if config.oracle_diagnostics:
+                    owners = tuple(owner for _, owner in plan.terms)
+                    q_error, flags = _oracle_error(
+                        system, policy, plan.update_set, owners, aggregate
+                    )
+                estimates[i] = (plan.update_set, psd_project(aggregate, config.zeta))
             diags.append(
                 AgentDiagnostics(
                     agent=i,
                     set_size=len(plan.own_set),
-                    feature_dim=own_d,
-                    rcond=set_rcond.get(plan.own_set),
+                    feature_dim=svec_dim((n_x + n_u) * len(plan.own_set)),
+                    rcond=set_rcond.get(plan.own_set) if plan.terms else None,
                     flags=flags,
                     q_error=q_error,
                 )
             )
+        policy = policy_gradient_update(policy, estimates, batch, config.alpha)
         wall_update = time.perf_counter() - t1
 
-        policy = new_policy
         cost = average_cost(
             system, policy, config.t_eval, seed_children[2 * it], x0=config.x0, sigma0=config.sigma0
         )

@@ -116,16 +116,23 @@ class StructuredPolicy:
             return np.zeros((self.n_u, 0))
         return np.hstack([np.asarray(self.blocks[(i, j)]) for j in neighbors])
 
-    def with_row_gain(self, i: int, row: np.ndarray) -> "StructuredPolicy":
-        """New policy with agent i's observation blocks replaced by ``row``."""
-        neighbors = self.graphs.observation_in_neighbors(i)
-        row = np.asarray(row, dtype=float)
-        expected = (self.n_u, self.n_x * len(neighbors))
-        if row.shape != expected:
-            raise ValueError(f"row gain for agent {i} must have shape {expected}, got {row.shape}")
+    def with_row_gains(self, rows: Mapping[int, np.ndarray]) -> "StructuredPolicy":
+        """New policy with each listed agent's observation blocks replaced.
+
+        ``rows[i]`` is laid out as ``row_gain(i)`` returns it; agents not
+        listed keep their blocks.  The policy is assembled once.
+        """
         blocks = dict(self.blocks)
-        for k, j in enumerate(neighbors):
-            blocks[(i, j)] = _as_readonly(row[:, k * self.n_x : (k + 1) * self.n_x])
+        for i, row in rows.items():
+            neighbors = self.graphs.observation_in_neighbors(i)
+            row = np.asarray(row, dtype=float)
+            expected = (self.n_u, self.n_x * len(neighbors))
+            if row.shape != expected:
+                raise ValueError(
+                    f"row gain for agent {i} must have shape {expected}, got {row.shape}"
+                )
+            for k, j in enumerate(neighbors):
+                blocks[(i, j)] = row[:, k * self.n_x : (k + 1) * self.n_x]
         return structured_policy_from_blocks(self.graphs, self.n_x, self.n_u, blocks)
 
 

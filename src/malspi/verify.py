@@ -11,7 +11,7 @@ prints one pass/fail line each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -274,8 +274,8 @@ def finite_difference_policy_gradient(
             plus[r, c] += step
             minus = base.copy()
             minus[r, c] -= step
-            j_plus = analytic_average_cost(system, policy.with_row_gain(agent, plus).gain)
-            j_minus = analytic_average_cost(system, policy.with_row_gain(agent, minus).gain)
+            j_plus = analytic_average_cost(system, policy.with_row_gains({agent: plus}).gain)
+            j_minus = analytic_average_cost(system, policy.with_row_gains({agent: minus}).gain)
             grad[r, c] = (j_plus - j_minus) / (2.0 * step)
     return grad
 
@@ -408,7 +408,10 @@ def check_example_structure(ns: Sequence[int] = (8, 20)) -> CheckResult:
     return CheckResult("example structure", True, "ring and leader-follower layouts")
 
 
-def _random_closed_loop(seed: int, max_agents: int = 6, max_dim: int = 2):
+Instance = tuple[MultiAgentSystem, StructuredPolicy]
+
+
+def _random_closed_loop(seed: int, max_agents: int = 6, max_dim: int = 2) -> Instance:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_agents + 1))
     n_x = int(rng.integers(1, max_dim + 1))
@@ -419,12 +422,23 @@ def _random_closed_loop(seed: int, max_agents: int = 6, max_dim: int = 2):
     return system, policy
 
 
-def check_value_decomposition(seed: int = 0, n_systems: int = 10, tol: float = 1e-9) -> CheckResult:
+def check_value_decomposition(
+    instances: Optional[Iterable[Instance]] = None, tol: float = 1e-9
+) -> CheckResult:
+    """Exact per-owner Q supports, sum and restriction on (system, policy) instances.
+
+    Owner i's global Q vanishes outside its value set, equals its Q on the
+    value set there, and the owners' Qs average to the global Q.
+    ``instances`` defaults to ten random closed loops.
+    """
+    if instances is None:
+        instances = (_random_closed_loop(trial) for trial in range(10))
     worst_outside = 0.0
     worst_sum = 0.0
     worst_restrict = 0.0
-    for trial in range(n_systems):
-        system, policy = _random_closed_loop(seed + trial)
+    count = 0
+    for system, policy in instances:
+        count += 1
         graphs = system.graphs
         deps = dependency_sets(graphs)
         everyone = tuple(graphs.agents)
@@ -453,7 +467,8 @@ def check_value_decomposition(seed: int = 0, n_systems: int = 10, tol: float = 1
     return CheckResult(
         "value decomposition (support, consistency, restriction)",
         passed,
-        f"outside {worst_outside:.2e}, sum {worst_sum:.2e}, restriction {worst_restrict:.2e}",
+        f"support leak {worst_outside:.2e}, sum defect {worst_sum:.2e}, "
+        f"restriction defect {worst_restrict:.2e}, {count} systems",
     )
 
 
@@ -522,10 +537,22 @@ def check_psd_projection(seed: int = 0) -> CheckResult:
     return CheckResult("eigenvalue-floor projection oracle", worst < 1e-9, f"worst {worst:.2e}")
 
 
-def check_gradient_decomposition(seed: int = 0, n_systems: int = 3, rtol: float = 1e-4) -> CheckResult:
+def check_gradient_decomposition(
+    instances: Optional[Iterable[Instance]] = None, rtol: float = 1e-4
+) -> CheckResult:
+    """Decomposed analytic gradients against finite differences of the objective.
+
+    Every agent that observes someone is checked, relative to the
+    finite-difference gradient's norm.  ``instances`` defaults to three
+    random closed loops of at most four agents.
+    """
+    if instances is None:
+        instances = (
+            _random_closed_loop(17 * trial, max_agents=4, max_dim=2) for trial in range(3)
+        )
     worst = 0.0
-    for trial in range(n_systems):
-        system, policy = _random_closed_loop(seed + 17 * trial, max_agents=4, max_dim=2)
+    checked = 0
+    for system, policy in instances:
         for i in system.graphs.agents:
             if not system.graphs.observation_in_neighbors(i):
                 continue
@@ -533,8 +560,11 @@ def check_gradient_decomposition(seed: int = 0, n_systems: int = 3, rtol: float 
             dec = decomposed_policy_gradient(system, policy, i)
             scale = max(np.linalg.norm(fd), 1e-12)
             worst = max(worst, float(np.linalg.norm(fd - dec)) / scale)
+            checked += 1
     return CheckResult(
-        "gradient decomposition vs finite differences", worst < rtol, f"worst rel {worst:.2e}"
+        "gradient decomposition vs finite differences",
+        worst < rtol,
+        f"worst relative gradient error {worst:.2e} over {checked} agents",
     )
 
 

@@ -27,15 +27,14 @@ from malspi.system import (
     extract_subsystem,
     rollout,
     true_q_matrix,
-    z_embedding_indices,
     zero_policy,
 )
 from malspi.verify import (
     build_noise_free_variant,
     check_example_structure,
+    check_gradient_decomposition,
     check_graph_suite,
-    decomposed_policy_gradient,
-    finite_difference_policy_gradient,
+    check_value_decomposition,
     random_graphs,
     random_stabilizing_policy,
     random_system,
@@ -59,55 +58,26 @@ def _random_instance(rng, max_agents, max_dim):
 def test_criterion_1_value_decomposition_exactness():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst_outside = 0.0
-    worst_sum = 0.0
-    for _ in range(50):
-        system, policy = _random_instance(rng, max_agents=6, max_dim=2)
-        graphs = system.graphs
-        deps = dependency_sets(graphs)
-        everyone = tuple(graphs.agents)
-        total = np.zeros(((system.n_x + system.n_u) * graphs.n_agents,) * 2)
-        for i in graphs.agents:
-            q_i = true_q_matrix(extract_subsystem(system, policy, everyone, cost_owners=(i,)))
-            total += q_i
-            inside = z_embedding_indices(deps.value[i], everyone, system.n_x, system.n_u)
-            mask = np.ones(q_i.shape[0], dtype=bool)
-            mask[inside] = False
-            worst_outside = max(worst_outside, float(np.abs(q_i[mask, :]).max(initial=0.0)))
-            worst_outside = max(worst_outside, float(np.abs(q_i[:, mask]).max(initial=0.0)))
-        q_avg = true_q_matrix(
-            extract_subsystem(system, policy, everyone, cost_owners=everyone, average=True)
-        )
-        worst_sum = max(worst_sum, float(np.abs(total / graphs.n_agents - q_avg).max()))
+    result = check_value_decomposition(
+        (_random_instance(rng, max_agents=6, max_dim=2) for _ in range(50)), tol=1e-9
+    )
     elapsed = time.perf_counter() - start
-    ok = worst_outside <= 1e-9 and worst_sum <= 1e-9 and elapsed < 60.0
-    report(1, ok, f"support leak {worst_outside:.2e}, sum defect {worst_sum:.2e}, "
-                  f"50 systems in {elapsed:.1f}s")
-    assert worst_outside <= 1e-9
-    assert worst_sum <= 1e-9
+    ok = result.passed and elapsed < 60.0
+    report(1, ok, f"{result.detail} in {elapsed:.1f}s")
+    assert result.passed, result.detail
     assert elapsed < 60.0
 
 
 def test_criterion_2_gradient_decomposition():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
-    worst = 0.0
-    checked = 0
-    for _ in range(20):
-        system, policy = _random_instance(rng, max_agents=4, max_dim=2)
-        for i in system.graphs.agents:
-            if not system.graphs.observation_in_neighbors(i):
-                continue
-            fd = finite_difference_policy_gradient(system, policy, i)
-            dec = decomposed_policy_gradient(system, policy, i)
-            scale = max(float(np.linalg.norm(fd)), 1e-9)
-            worst = max(worst, float(np.linalg.norm(fd - dec)) / scale)
-            checked += 1
+    result = check_gradient_decomposition(
+        (_random_instance(rng, max_agents=4, max_dim=2) for _ in range(20)), rtol=1e-4
+    )
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-4 and elapsed < 120.0
-    report(2, ok, f"worst relative gradient error {worst:.2e} over {checked} agents "
-                  f"in {elapsed:.1f}s")
-    assert worst <= 1e-4
+    ok = result.passed and elapsed < 120.0
+    report(2, ok, f"{result.detail} in {elapsed:.1f}s")
+    assert result.passed, result.detail
     assert elapsed < 120.0
 
 

@@ -172,3 +172,23 @@ def test_bad_config_fails_loudly(tmp_path):
     path.write_text(json.dumps({"n_agents": 2, "mystery_key": 1}))
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("command", [["run"], ["graphs"], ["bounds"], ["bench", "--n-agents", "3"]])
+def test_config_error_is_a_one_line_cli_error(tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n_agents": 2, "mystery": 1}))
+    result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert result.output == "Error: unknown keys in configuration: ['mystery']\n"
+
+
+def test_repeated_seed_override_is_a_cli_error(config_file, tmp_path):
+    result = CliRunner().invoke(
+        main, ["run", str(config_file), "--seed", "0", "--seed", "0",
+               "--output", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: seeds lists [0] more than once\n"

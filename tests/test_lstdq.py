@@ -62,7 +62,6 @@ def test_noise_row_value():
         [expected[0, 0], math.sqrt(2) * expected[0, 1], expected[1, 1]],
         atol=1e-14,
     )
-    assert bundle.f.shape == bundle.phi.shape
 
 
 def test_empty_cost_owner_set_gives_zero_solution():
@@ -154,9 +153,27 @@ def test_lu_solve_matches_least_squares_reference():
     op = LstdqOperator(bundle)
     operator = bundle.phi.T @ (bundle.phi - bundle.psi_plus + bundle.f_row[None, :])
     assert op.diagnostics.rcond > 1e-6
-    for cost in [bundle.c_hat, *bundle.owner_costs.values()]:
+    for cost in [bundle.c_hat, *bundle.owner_costs.T]:
         reference = scipy.linalg.lstsq(operator, bundle.phi.T @ cost)[0]
         np.testing.assert_allclose(op.solve_cost(cost), reference, rtol=1e-10, atol=0.0)
+
+
+def test_solve_cost_block_matches_single_column_solves():
+    rng = np.random.default_rng(17)
+    g = generate_example1(4)
+    system = random_system(rng, g, 1, 1)
+    policy = random_stabilizing_policy(rng, system)
+    deps = dependency_sets(g)
+    batch = rollout(system, zero_policy(g, 1, 1), 400, 1.0, seed=18)
+    bundle = build_regression(batch, deps.direct[1], policy, deps.gradient[1], system)
+    assert bundle.owner_costs.shape == (400, len(deps.gradient[1])) and len(deps.gradient[1]) > 1
+    np.testing.assert_allclose(bundle.c_hat, bundle.owner_costs.sum(axis=1))
+    op = LstdqOperator(bundle)
+    block = op.solve_cost(bundle.owner_costs)
+    assert block.shape == (bundle.d, len(bundle.cost_owners))
+    for col, cost in enumerate(bundle.owner_costs.T):
+        single = op.solve_cost(cost)
+        assert np.linalg.norm(block[:, col] - single) <= 1e-12 * np.linalg.norm(single)
 
 
 def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():

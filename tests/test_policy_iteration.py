@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from malspi import lstdq, policy_iteration
+from malspi import system as system_mod
 from malspi.graphs import build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1
-from malspi.linalg import InstabilityError, psd_project, svec
-from malspi.lstdq import QEstimate
+from malspi.linalg import InstabilityError, psd_project
 from malspi.policy_iteration import (
     Architecture,
     MalspiConfig,
@@ -46,17 +47,13 @@ def riccati_optimal_gain(a, b, s, r):
     return -(b * p * a) / (r + b * p * b)
 
 
-def estimate_from_matrix(q, index_set):
-    return QEstimate(q=svec(q), matrix=q, index_set=index_set)
-
-
 def test_zero_learning_rate_leaves_policy_unchanged():
     system = scalar_system()
     policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[-0.4]]})
     batch = rollout(system, policy, 50, 1.0, seed=0)
     sub = extract_subsystem(system, policy, (1,), cost_owners=(1,))
-    est = estimate_from_matrix(true_q_matrix(sub), (1,))
-    updated = policy_gradient_update(policy, 1, est, batch, alpha=0.0)
+    est = ((1,), true_q_matrix(sub))
+    updated = policy_gradient_update(policy, {1: est}, batch, alpha=0.0)
     assert np.array_equal(updated.gain, policy.gain)
 
 
@@ -67,8 +64,8 @@ def test_update_vanishes_at_riccati_optimum():
     policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[k_star]]})
     batch = rollout(system, policy, 10_000, 1.0, seed=1)
     sub = extract_subsystem(system, policy, (1,), cost_owners=(1,))
-    est = estimate_from_matrix(true_q_matrix(sub), (1,))
-    updated = policy_gradient_update(policy, 1, est, batch, alpha=1e-3)
+    est = ((1,), true_q_matrix(sub))
+    updated = policy_gradient_update(policy, {1: est}, batch, alpha=1e-3)
     assert abs(updated.gain[0, 0] - k_star) <= 1e-2 * abs(k_star)
 
 
@@ -81,8 +78,8 @@ def test_update_preserves_sparsity_and_only_touches_agent_row():
     agent = 1
     agent_set = deps.direct[agent]
     sub = extract_subsystem(system, policy, agent_set, cost_owners=deps.gradient[agent])
-    est = estimate_from_matrix(true_q_matrix(sub), agent_set)
-    updated = policy_gradient_update(policy, agent, est, batch, alpha=1e-4)
+    est = (agent_set, true_q_matrix(sub))
+    updated = policy_gradient_update(policy, {agent: est}, batch, alpha=1e-4)
     policy_from_global_gain(g, 1, 1, updated.gain)  # raises on any off-pattern entry
     changed = np.argwhere(updated.gain != policy.gain)
     assert changed.size > 0
@@ -97,9 +94,9 @@ def test_update_rejects_set_missing_observed_agents():
                           {1: [[1.0]], 2: [[1.0]]}, {1: [[1.0]], 2: [[1.0]]}, 1.0)
     policy = zero_policy(g, 1, 1)
     batch = rollout(system, policy, 30, 1.0, seed=3)
-    est = estimate_from_matrix(np.eye(2), (1,))
+    est = ((1,), np.eye(2))
     with pytest.raises(ValueError, match="observes"):
-        policy_gradient_update(policy, 1, est, batch, alpha=1e-3)
+        policy_gradient_update(policy, {1: est}, batch, alpha=1e-3)
 
 
 def test_update_direction_matches_empirical_finite_differences():
@@ -119,8 +116,8 @@ def test_update_direction_matches_empirical_finite_differences():
     batch = rollout(system, policy, t_len, 0.3, seed=5)
     everyone = tuple(g.agents)
     sub = extract_subsystem(system, policy, everyone, cost_owners=deps.gradient[agent])
-    est = estimate_from_matrix(true_q_matrix(sub), everyone)
-    updated = policy_gradient_update(policy, agent, est, batch, alpha=1.0)
+    est = (everyone, true_q_matrix(sub))
+    updated = policy_gradient_update(policy, {agent: est}, batch, alpha=1.0)
     direction = (policy.row_gain(agent) - updated.row_gain(agent)).ravel()
 
     eps = 1e-4
@@ -130,7 +127,7 @@ def test_update_direction_matches_empirical_finite_differences():
         for sign in (+1.0, -1.0):
             row = base_row.copy().ravel()
             row[idx] += sign * eps
-            perturbed = policy.with_row_gain(agent, row.reshape(base_row.shape))
+            perturbed = policy.with_row_gains({agent: row.reshape(base_row.shape)})
             value = average_cost(system, perturbed, t_len, seed=6).value
             fd[idx] += sign * value / (2.0 * eps)
 
@@ -300,3 +297,47 @@ def test_oracle_diagnostics_record_estimation_error():
                                       alpha=1e-4, seed=11, oracle_diagnostics=True))
     errs = [d.q_error for r in records[1:] for d in r.agents]
     assert all(e is not None and e >= 0.0 for e in errs)
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch, arch):
+    g = generate_example1(4)
+    system = build_example_system(g, n_x=1, n_u=1)
+    plans = architecture_plans(arch, dependency_sets(g), 4)
+    owners_by_set = {}
+    for plan in plans.values():
+        for est_set, owner in plan.terms:
+            owners_by_set.setdefault(est_set, set()).add(owner)
+    n_iter = 3
+    cfg = MalspiConfig(n_iterations=n_iter, t_rollout=150, t_eval=50, alpha=1e-4, seed=12,
+                       k0=zero_policy(g, 1, 1))
+
+    factorized, solves, rebuilds = [], [], []
+    real_solve = lstdq.LstdqOperator.solve_cost
+    real_build = system_mod.structured_policy_from_blocks
+
+    class CountedOperator(lstdq.LstdqOperator):
+        def __init__(self, bundle, **kwargs):
+            super().__init__(bundle, **kwargs)
+            factorized.append(bundle.index_set)
+
+    def counted_solve(self, cost):
+        solves.append((self.bundle.index_set, np.shape(cost)))
+        return real_solve(self, cost)
+
+    def counted_build(*args, **kwargs):
+        rebuilds.append(1)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(policy_iteration, "LstdqOperator", CountedOperator)
+    monkeypatch.setattr(lstdq.LstdqOperator, "solve_cost", counted_solve)
+    monkeypatch.setattr(system_mod, "structured_policy_from_blocks", counted_build)
+    records = run_malspi(system, arch, cfg)
+
+    assert all(not d.flags for r in records[1:] for d in r.agents)
+    assert sorted(factorized) == sorted(list(owners_by_set) * n_iter)
+    assert [s for s, _ in solves] == factorized
+    for est_set, shape in solves:
+        assert shape == (150, len(owners_by_set[est_set]))
+    assert len(rebuilds) == n_iter
+    assert any(not np.array_equal(r.gain, records[0].gain) for r in records[1:])

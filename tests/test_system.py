@@ -88,6 +88,23 @@ def test_policy_sparsity_validation():
         policy_from_global_gain(g, 1, 1, bad)
 
 
+def test_with_row_gains_replaces_listed_rows_only():
+    g = generate_example1(4)
+    system = build_example_system(g, n_x=2, n_u=1)
+    policy = random_stabilizing_policy(np.random.default_rng(7), system)
+    new_row = np.arange(policy.row_gain(2).size, dtype=float).reshape(policy.row_gain(2).shape)
+    updated = policy.with_row_gains({2: new_row})
+    np.testing.assert_array_equal(updated.row_gain(2), new_row)
+    for i in (1, 3, 4):
+        np.testing.assert_array_equal(updated.row_gain(i), policy.row_gain(i))
+    assert set(updated.blocks) == set(policy.blocks)
+    policy_from_global_gain(g, 2, 1, updated.gain)  # raises on any off-pattern entry
+
+    wrong = np.zeros((1, policy.row_gain(1).shape[1] + 1))
+    with pytest.raises(ValueError, match="row gain for agent 1 must have shape"):
+        policy.with_row_gains({2: new_row, 1: wrong})
+
+
 def test_full_index_set_subsystem_equals_global():
     rng = np.random.default_rng(0)
     g = random_graphs(rng, 4, edge_prob=0.4, cost_self_loops=True)
