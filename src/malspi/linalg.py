@@ -12,10 +12,12 @@ powers in doublings.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -48,9 +50,7 @@ def svec(mat: np.ndarray, *, sym_tol: float = 1e-10) -> np.ndarray:
     if asym > sym_tol:
         raise ValueError(f"svec input asymmetry {asym:.3g} exceeds tolerance {sym_tol:.3g}")
     m = 0.5 * (m + m.T)
-    n = m.shape[0]
-    rows, cols = np.triu_indices(n)
-    weights = np.where(rows == cols, 1.0, _SQRT2)
+    rows, cols, weights, _ = _packing(m.shape[0])
     return m[rows, cols] * weights
 
 
@@ -65,10 +65,21 @@ def smat(vec: np.ndarray) -> np.ndarray:
     if n * (n + 1) // 2 != length:
         raise ValueError(f"smat expects a triangular-number length, got {length}")
     out = np.zeros((n, n))
-    rows, cols = np.triu_indices(n)
-    weights = np.where(rows == cols, 1.0, 1.0 / _SQRT2)
-    out[rows, cols] = v * weights
+    rows, cols, _, inverse_weights = _packing(n)
+    out[rows, cols] = v * inverse_weights
     out[cols, rows] = out[rows, cols]
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _packing(n: int) -> tuple[np.ndarray, ...]:
+    """Upper-triangle rows and columns of an n x n matrix, with the svec
+    weights (1 on the diagonal, sqrt(2) above it) and their inverses."""
+    rows, cols = np.triu_indices(n)
+    diagonal = rows == cols
+    out = (rows, cols, np.where(diagonal, 1.0, _SQRT2), np.where(diagonal, 1.0, 1.0 / _SQRT2))
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
@@ -153,7 +164,7 @@ def psd_project(mat: np.ndarray, zeta: float = 0.0) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"psd_project expects a square matrix, got shape {m.shape}")
     m = 0.5 * (m + m.T)
-    eigvals, eigvecs = np.linalg.eigh(m)
+    eigvals, eigvecs = scipy.linalg.eigh(m, check_finite=False, driver="evd")
     clamped = np.maximum(eigvals, zeta)
     out = (eigvecs * clamped) @ eigvecs.T
     return 0.5 * (out + out.T)

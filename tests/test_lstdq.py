@@ -8,7 +8,9 @@ import scipy.linalg
 
 from malspi.graphs import build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1
+from malspi.linalg import svec
 from malspi.lstdq import (
+    FeatureBuffers,
     LstdqOperator,
     SingularOperatorError,
     UnderdeterminedError,
@@ -174,6 +176,49 @@ def test_solve_cost_block_matches_single_column_solves():
     for col, cost in enumerate(bundle.owner_costs.T):
         single = op.solve_cost(cost)
         assert np.linalg.norm(block[:, col] - single) <= 1e-12 * np.linalg.norm(single)
+
+
+def test_feature_and_regressor_rows_match_per_sample_svec():
+    rng = np.random.default_rng(21)
+    g = generate_example1(3)
+    system = random_system(rng, g, 2, 1)
+    policy = random_stabilizing_policy(rng, system)
+    batch = rollout(system, zero_policy(g, 2, 1), 60, 1.0, seed=22)
+    agents = (1, 2, 3)
+    bundle = build_regression(batch, agents, policy, agents, system)
+    assert bundle.phi.flags.f_contiguous and bundle.regressors.flags.f_contiguous
+    xs, us = batch.states(agents), batch.controls(agents)
+    k = extract_subsystem(system, policy, agents).k
+    for t in range(batch.length):
+        z = np.concatenate([xs[t], us[t]])
+        z_next = np.concatenate([xs[t + 1], k @ xs[t + 1]])
+        np.testing.assert_allclose(bundle.phi[t], svec(np.outer(z, z)), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            bundle.psi_plus[t], svec(np.outer(z_next, z_next)), rtol=1e-14, atol=1e-15
+        )
+    assert np.array_equal(bundle.regressors, bundle.phi - bundle.psi_plus + bundle.f_row)
+
+
+def test_buffered_build_matches_fresh_build_and_rejects_oversize():
+    rng = np.random.default_rng(23)
+    g = generate_example1(4)
+    system = random_system(rng, g, 1, 1)
+    policy = random_stabilizing_policy(rng, system)
+    deps = dependency_sets(g)
+    batch = rollout(system, zero_policy(g, 1, 1), 300, 1.0, seed=24)
+    big, small = deps.direct[1], (1,)
+    buffers = FeatureBuffers(300, build_regression(batch, big, policy, (), system).d)
+    for agents in (big, small):
+        fresh = build_regression(batch, agents, policy, agents, system)
+        reused = build_regression(batch, agents, policy, agents, system, buffers=buffers)
+        assert np.array_equal(fresh.phi, reused.phi)
+        assert np.array_equal(fresh.regressors, reused.regressors)
+        fresh_q = LstdqOperator(fresh).solve_cost(fresh.owner_costs)
+        assert np.array_equal(fresh_q, LstdqOperator(reused).solve_cost(reused.owner_costs))
+    with pytest.raises(ValueError, match="does not fit"):
+        build_regression(batch, big, policy, (), system, buffers=FeatureBuffers(300, 3))
+    with pytest.raises(ValueError, match="does not fit"):
+        build_regression(batch, small, policy, (), system, buffers=FeatureBuffers(299, 10))
 
 
 def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
