@@ -50,7 +50,7 @@ def svec(mat: np.ndarray, *, sym_tol: float = 1e-10) -> np.ndarray:
     if asym > sym_tol:
         raise ValueError(f"svec input asymmetry {asym:.3g} exceeds tolerance {sym_tol:.3g}")
     m = 0.5 * (m + m.T)
-    rows, cols, weights, _ = _packing(m.shape[0])
+    rows, cols, weights = _packing(m.shape[0])
     return m[rows, cols] * weights
 
 
@@ -65,22 +65,17 @@ def smat(vec: np.ndarray) -> np.ndarray:
     if n * (n + 1) // 2 != length:
         raise ValueError(f"smat expects a triangular-number length, got {length}")
     out = np.zeros((n, n))
-    rows, cols, _, inverse_weights = _packing(n)
-    out[rows, cols] = v * inverse_weights
+    rows, cols, weights = _packing(n)
+    out[rows, cols] = v * (1.0 / weights)
     out[cols, rows] = out[rows, cols]
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _packing(n: int) -> tuple[np.ndarray, ...]:
-    """Upper-triangle rows and columns of an n x n matrix, with the svec
-    weights (1 on the diagonal, sqrt(2) above it) and their inverses."""
+def _packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared (read-only) upper-triangle indices and svec weights of size n."""
     rows, cols = np.triu_indices(n)
-    diagonal = rows == cols
-    out = (rows, cols, np.where(diagonal, 1.0, _SQRT2), np.where(diagonal, 1.0, 1.0 / _SQRT2))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return rows, cols, np.where(rows == cols, 1.0, _SQRT2)
 
 
 def svec_dim(n: int) -> int:
@@ -164,6 +159,7 @@ def psd_project(mat: np.ndarray, zeta: float = 0.0) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"psd_project expects a square matrix, got shape {m.shape}")
     m = 0.5 * (m + m.T)
+    # SciPy's LAPACK, like the LSTDQ solves (NumPy links a second OpenBLAS)
     eigvals, eigvecs = scipy.linalg.eigh(m, check_finite=False, driver="evd")
     clamped = np.maximum(eigvals, zeta)
     out = (eigvecs * clamped) @ eigvecs.T

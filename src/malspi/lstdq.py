@@ -10,14 +10,12 @@ error-in-variables system
     q = (Phi' (Phi - Psi_plus + F))^{-1} Phi' c_hat,
 
 computed through one partial-pivoting LU factorization, never an explicit
-inverse.  Phi and the regressor rows Phi - Psi_plus + F are written block
-by block into Fortran-ordered arrays (Psi_plus is never stored), and every
-product and factorization goes through SciPy's BLAS/LAPACK.  The
-factorization is gated on LAPACK's reciprocal 1-norm
+inverse.  The factorization is gated on LAPACK's reciprocal 1-norm
 condition estimate (``gecon``, the Hager/Higham estimator), which costs
 O(d^2) on top of the O(d^3) factorization; the exact minimum singular value
 is an O(d^3) diagnostic computed only on request.  With zero process noise
 the relation holds pathwise and the recovery is exact up to conditioning.
+Every product and factorization runs through SciPy's BLAS/LAPACK.
 """
 from __future__ import annotations
 
@@ -112,11 +110,9 @@ class RegressionBundle:
     """Feature matrices and costs of one restricted trajectory.
 
     ``phi`` and ``regressors`` = Phi - Psi_plus + F are T x d; the noise
-    row ``f_row`` is constant across time, and ``z_next`` holds the
-    on-policy next-step samples psi_plus is built from.  ``owner_costs`` is
-    T x k: column j is the unaggregated stage-cost sequence of
-    ``cost_owners[j]``, so one solve serves every owner; ``c_hat`` is their
-    row sum.
+    row ``f_row`` is constant across time.  ``owner_costs`` is T x k:
+    column j is the unaggregated stage-cost sequence of ``cost_owners[j]``,
+    so one solve serves every owner; ``c_hat`` is their row sum.
     """
 
     index_set: AgentSet
@@ -125,7 +121,6 @@ class RegressionBundle:
     n_u: int
     phi: np.ndarray
     regressors: np.ndarray
-    z_next: np.ndarray
     f_row: np.ndarray
     owner_costs: np.ndarray
     k_eval: np.ndarray
@@ -148,80 +143,22 @@ class RegressionBundle:
         """Aggregated cost sequence over every owner."""
         return self.owner_costs.sum(axis=1)
 
-    @property
-    def psi_plus(self) -> np.ndarray:
-        """On-policy next-step features, T x d, computed on access."""
-        return _svec_rows(self.z_next)
 
+def _svec_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise svec of outer products z_t z_t', a Fortran-ordered T x d array.
 
-def _fill_svec_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write svec(z_t z_t') into row t of the Fortran-ordered T x d ``out``.
-
-    Row i of the upper triangle is one contiguous block of columns, written
-    in one pass: z_i * z_i, then z_i * (sqrt(2) z_j) for j > i.  No T x m x m
-    cube or gathered T x d temporary is formed.
+    Upper-triangle row i is one block of columns, z_i z_i then sqrt(2) z_i z_j
+    for j > i, written in one pass; no T x m x m cube is formed.
     """
-    z = np.asfortranarray(z)
     scaled = z * math.sqrt(2.0)
     m = z.shape[1]
+    out = np.empty((z.shape[0], svec_dim(m)), order="F")
     start = 0
     for i in range(m):
         np.multiply(z[:, i], z[:, i], out=out[:, start])
         np.multiply(scaled[:, i + 1 :], z[:, i : i + 1], out=out[:, start + 1 : start + m - i])
         start += m - i
     return out
-
-
-def _svec_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise svec of outer products z_t z_t', a Fortran-ordered T x d array."""
-    return _fill_svec_rows(z, np.empty((z.shape[0], svec_dim(z.shape[1])), order="F"))
-
-
-def _fill_regressors(
-    phi: np.ndarray, z_next: np.ndarray, f_row: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Write Phi - Psi_plus + F into the Fortran-ordered ``out``, in place
-    over Psi_plus, so no second T x d array is allocated."""
-    _fill_svec_rows(z_next, out)
-    np.subtract(phi, out, out=out)
-    out += f_row
-    return out
-
-
-class FeatureBuffers:
-    """Reusable storage for the T x d feature and regressor rows.
-
-    ``build_regression(..., buffers=...)`` writes a bundle's ``phi`` and
-    ``regressors`` into leading columns of these two Fortran-ordered
-    T x ``max_dim`` arrays instead of allocating (and page-faulting) 2 T d
-    fresh doubles per estimation set; the next build into the same buffers
-    overwrites that bundle.
-    """
-
-    def __init__(self, t_length: int, max_dim: int):
-        self.phi = np.empty((t_length, max_dim), order="F")
-        self.regressors = np.empty((t_length, max_dim), order="F")
-
-    def take(self, t_length: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-        if t_length != self.phi.shape[0] or d > self.phi.shape[1]:
-            raise ValueError(
-                f"buffers hold {self.phi.shape[0]} x {self.phi.shape[1]} features, "
-                f"a {t_length} x {d} regression does not fit"
-            )
-        return self.phi[:, :d], self.regressors[:, :d]
-
-
-def _owner_cost_sequence(
-    system: MultiAgentSystem, batch: TrajectoryBatch, owner: int, t_length: int
-) -> np.ndarray:
-    cost_set = system.graphs.cost_in_neighbors(owner)
-    if not cost_set:
-        return np.zeros(t_length)
-    xc = batch.x[:t_length, x_coords(cost_set, system.n_x)]
-    uc = batch.u[:t_length, u_coords(cost_set, system.n_u)]
-    s_blk = system.s_blocks[owner]
-    r_blk = system.r_blocks[owner]
-    return np.einsum("ti,ij,tj->t", xc, s_blk, xc) + np.einsum("ti,ij,tj->t", uc, r_blk, uc)
 
 
 def build_regression(
@@ -233,7 +170,6 @@ def build_regression(
     *,
     require_closed: bool = True,
     allow_underdetermined: bool = False,
-    buffers: Optional[FeatureBuffers] = None,
 ) -> RegressionBundle:
     """Assemble the error-in-variables regression for one agent subset.
 
@@ -242,9 +178,7 @@ def build_regression(
     cost sums the unaveraged stage costs of ``cost_owner_set``; each owner's
     cost in-neighbors must lie inside the subset.  Raises
     UnderdeterminedError when the trajectory is shorter than the feature
-    dimension unless explicitly allowed.  With ``buffers`` the feature and
-    regressor rows are written into them, and the bundle is valid until the
-    next build into the same buffers.
+    dimension unless explicitly allowed.
     """
     sub = extract_subsystem(
         system,
@@ -260,8 +194,7 @@ def build_regression(
     if t_length < d and not allow_underdetermined:
         raise UnderdeterminedError(t_length, d)
 
-    # stacked samples [x; u] now and on-policy next, Fortran-ordered for the
-    # column-block feature writes
+    # stacked samples [x; u] now and on-policy next, Fortran-ordered
     xs = batch.states(agents)
     z_now = np.empty((t_length, m), order="F")
     z_now[:, : sub.nx] = xs[:t_length]
@@ -275,14 +208,19 @@ def build_regression(
     owners = tuple(sorted(set(int(a) for a in cost_owner_set)))
     owner_costs = np.zeros((t_length, len(owners)))
     for col, j in enumerate(owners):
-        owner_costs[:, col] = _owner_cost_sequence(system, batch, j, t_length)
+        cost_set = system.graphs.cost_in_neighbors(j)
+        if cost_set:
+            xc = batch.x[:t_length, x_coords(cost_set, system.n_x)]
+            uc = batch.u[:t_length, u_coords(cost_set, system.n_u)]
+            owner_costs[:, col] = np.einsum(
+                "ti,ij,tj->t", xc, system.s_blocks[j], xc
+            ) + np.einsum("ti,ij,tj->t", uc, system.r_blocks[j], uc)
 
-    if buffers is None:
-        phi, regressors = (np.empty((t_length, d), order="F") for _ in range(2))
-    else:
-        phi, regressors = buffers.take(t_length, d)
-    _fill_svec_rows(z_now, phi)
-    _fill_regressors(phi, z_next, f_row, regressors)
+    phi = _svec_rows(z_now)
+    # Phi - Psi_plus + F, formed in place over Psi_plus
+    regressors = _svec_rows(z_next)
+    np.subtract(phi, regressors, out=regressors)
+    regressors += f_row
     return RegressionBundle(
         index_set=agents,
         cost_owners=owners,
@@ -290,7 +228,6 @@ def build_regression(
         n_u=system.n_u,
         phi=phi,
         regressors=regressors,
-        z_next=z_next,
         f_row=f_row,
         owner_costs=owner_costs,
         k_eval=sub.k,
@@ -318,13 +255,10 @@ class LstdqOperator:
         exact_sigma_min: bool = False,
     ):
         self.bundle = bundle
-        # Phi' (Phi - Psi_plus + F) through SciPy's BLAS, the library that
-        # also runs the LU and the solves: NumPy links a second OpenBLAS,
-        # and alternating the two thread pools oversubscribes the cores.
-        # Fortran-ordered operands pass without a copy, and the
-        # Fortran-ordered product is factorized in place.
-        gemm = scipy.linalg.get_blas_funcs("gemm", (bundle.phi,))
-        operator = gemm(1.0, bundle.phi, bundle.regressors, trans_a=True)
+        # SciPy's BLAS, like the LU and the solves: NumPy links a second
+        # OpenBLAS, and alternating the two thread pools oversubscribes the
+        # cores.  The Fortran-ordered product is factorized in place.
+        operator = scipy.linalg.blas.dgemm(1.0, bundle.phi, bundle.regressors, trans_a=True)
         getrf, gecon, lange = scipy.linalg.get_lapack_funcs(
             ("getrf", "gecon", "lange"), (operator,)
         )
@@ -361,12 +295,10 @@ class LstdqOperator:
         result is length d for a vector, d x k for a block, with column j
         solving cost column j.
         """
-        cost = np.asarray(cost, dtype=float)
-        block = cost.reshape(cost.shape[0], -1)
-        gemm = scipy.linalg.get_blas_funcs("gemm", (block,))
-        rhs = gemm(1.0, self.bundle.phi, block, trans_a=True)
+        block = np.asarray(cost, dtype=float).reshape(len(cost), -1)
+        rhs = scipy.linalg.blas.dgemm(1.0, self.bundle.phi, block, trans_a=True)
         q = scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
-        return q.reshape(q.shape[0]) if cost.ndim == 1 else q
+        return q[:, 0] if np.ndim(cost) == 1 else q
 
 
 def lstdq_solve(bundle: RegressionBundle, *, rcond: float = _RCOND_THRESHOLD) -> QEstimate:

@@ -38,7 +38,6 @@ import numpy as np
 from .graphs import DependencySets, dependency_sets
 from .linalg import InstabilityError, psd_project, smat, spectral_radius, svec_dim
 from .lstdq import (
-    FeatureBuffers,
     LstdqOperator,
     SingularOperatorError,
     UnderdeterminedError,
@@ -258,11 +257,6 @@ def run_malspi(
         for est_set, owner in plan.terms:
             owner_sets.setdefault(est_set, set()).add(owner)
     owners_by_set = {s: tuple(sorted(owner_sets[s])) for s in sorted(owner_sets)}
-    # one feature/regressor store for every set and iteration, sized for the
-    # largest set the rollout length determines
-    dims = [svec_dim((n_x + n_u) * len(s)) for s in owners_by_set]
-    dims = [d for d in dims if d <= config.t_rollout]
-    buffers = FeatureBuffers(config.t_rollout, max(dims)) if dims else None
 
     seed_children = np.random.SeedSequence(config.seed).spawn(2 * config.n_iterations + 1)
     policy = k0
@@ -301,9 +295,7 @@ def run_malspi(
         set_rcond: dict[AgentSet, Optional[float]] = {}
         for est_set, owners in owners_by_set.items():
             try:
-                bundle = build_regression(
-                    batch, est_set, policy, owners, system, buffers=buffers
-                )
+                bundle = build_regression(batch, est_set, policy, owners, system)
             except UnderdeterminedError:
                 set_flags[est_set], set_rcond[est_set] = ("underdetermined",), None
                 continue

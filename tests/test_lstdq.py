@@ -10,7 +10,6 @@ from malspi.graphs import build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1
 from malspi.linalg import svec
 from malspi.lstdq import (
-    FeatureBuffers,
     LstdqOperator,
     SingularOperatorError,
     UnderdeterminedError,
@@ -46,8 +45,11 @@ def test_feature_rows_hand_checked_smallest_instance():
         np.testing.assert_allclose(
             bundle.phi[t], [x * x, math.sqrt(2.0) * x * u, u * u], atol=1e-14
         )
+        # the zero gain's next action is 0, and f_row is 0 without noise
         xp = batch.x[t + 1, 0]
-        np.testing.assert_allclose(bundle.psi_plus[t], [xp * xp, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(
+            bundle.regressors[t], [x * x - xp * xp, math.sqrt(2.0) * x * u, u * u], atol=1e-14
+        )
     np.testing.assert_allclose(bundle.f_row, 0.0)
     np.testing.assert_allclose(bundle.c_hat, batch.x[:3, 0] ** 2 + batch.u[:, 0] ** 2)
 
@@ -153,7 +155,7 @@ def test_lu_solve_matches_least_squares_reference():
     batch = rollout(system, zero_policy(g, 1, 1), 2000, 1.0, seed=14)
     bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
     op = LstdqOperator(bundle)
-    operator = bundle.phi.T @ (bundle.phi - bundle.psi_plus + bundle.f_row[None, :])
+    operator = bundle.phi.T @ bundle.regressors
     assert op.diagnostics.rcond > 1e-6
     for cost in [bundle.c_hat, *bundle.owner_costs.T]:
         reference = scipy.linalg.lstsq(operator, bundle.phi.T @ cost)[0]
@@ -192,33 +194,14 @@ def test_feature_and_regressor_rows_match_per_sample_svec():
     for t in range(batch.length):
         z = np.concatenate([xs[t], us[t]])
         z_next = np.concatenate([xs[t + 1], k @ xs[t + 1]])
-        np.testing.assert_allclose(bundle.phi[t], svec(np.outer(z, z)), rtol=1e-15, atol=0.0)
+        phi = svec(np.outer(z, z))
+        np.testing.assert_allclose(bundle.phi[t], phi, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(
-            bundle.psi_plus[t], svec(np.outer(z_next, z_next)), rtol=1e-14, atol=1e-15
+            bundle.regressors[t],
+            phi - svec(np.outer(z_next, z_next)) + bundle.f_row,
+            rtol=1e-13,
+            atol=1e-13 * np.abs(phi).max(),
         )
-    assert np.array_equal(bundle.regressors, bundle.phi - bundle.psi_plus + bundle.f_row)
-
-
-def test_buffered_build_matches_fresh_build_and_rejects_oversize():
-    rng = np.random.default_rng(23)
-    g = generate_example1(4)
-    system = random_system(rng, g, 1, 1)
-    policy = random_stabilizing_policy(rng, system)
-    deps = dependency_sets(g)
-    batch = rollout(system, zero_policy(g, 1, 1), 300, 1.0, seed=24)
-    big, small = deps.direct[1], (1,)
-    buffers = FeatureBuffers(300, build_regression(batch, big, policy, (), system).d)
-    for agents in (big, small):
-        fresh = build_regression(batch, agents, policy, agents, system)
-        reused = build_regression(batch, agents, policy, agents, system, buffers=buffers)
-        assert np.array_equal(fresh.phi, reused.phi)
-        assert np.array_equal(fresh.regressors, reused.regressors)
-        fresh_q = LstdqOperator(fresh).solve_cost(fresh.owner_costs)
-        assert np.array_equal(fresh_q, LstdqOperator(reused).solve_cost(reused.owner_costs))
-    with pytest.raises(ValueError, match="does not fit"):
-        build_regression(batch, big, policy, (), system, buffers=FeatureBuffers(300, 3))
-    with pytest.raises(ValueError, match="does not fit"):
-        build_regression(batch, small, policy, (), system, buffers=FeatureBuffers(299, 10))
 
 
 def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
@@ -228,7 +211,7 @@ def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
     policy = zero_policy(g, 1, 1)
     bundle = build_regression(rollout(system, policy, 500, 1.0, seed=16), (1, 2), policy,
                               (1, 2), system)
-    operator = bundle.phi.T @ (bundle.phi - bundle.psi_plus + bundle.f_row[None, :])
+    operator = bundle.phi.T @ bundle.regressors
     diag = lstdq_solve(bundle).diagnostics
     assert diag.threshold == 1e-10
     assert diag.sigma_min == pytest.approx(scipy.linalg.svdvals(operator)[-1], rel=1e-8)
@@ -300,9 +283,10 @@ def test_longer_trajectories_reduce_error_on_paired_seeds():
 
 
 def test_exact_parameter_empirical_residual_shrinks_like_inverse_sqrt():
-    # c_hat - (phi - psi_plus + f) q_true has zero conditional mean (the
-    # average-cost offset is folded into f); its empirical mean over one
-    # trajectory decays roughly as 1/sqrt(T)
+    # c_hat - (phi - psi_plus + f) q_true, the residual on the regressor
+    # rows, has zero conditional mean (the average-cost offset is folded
+    # into f); its empirical mean over one trajectory decays roughly as
+    # 1/sqrt(T)
     system = scalar_system(a=0.7, sigma_w=1.0)
     policy = zero_policy(system.graphs, 1, 1)
     sub = extract_subsystem(system, policy, (1,), cost_owners=(1,))
@@ -316,8 +300,7 @@ def test_exact_parameter_empirical_residual_shrinks_like_inverse_sqrt():
         for seed in range(12):
             batch = rollout(system, policy, t_len, 1.0, seed=70_000 + 13 * seed + t_len)
             bundle = build_regression(batch, (1,), policy, (1,), system)
-            rows = bundle.phi - bundle.psi_plus + bundle.f_row[None, :]
-            residuals.append(abs(np.mean(bundle.c_hat - rows @ q_vec)))
+            residuals.append(abs(np.mean(bundle.c_hat - bundle.regressors @ q_vec)))
         means.append(np.median(residuals))
     slope = np.polyfit(np.log(t_grid), np.log(means), 1)[0]
     assert -0.8 <= slope <= -0.25
