@@ -40,6 +40,15 @@ def _get(data: Mapping[str, Any], key: str, default):
     return default if value is None and default is not None else value
 
 
+def _cast(key: str, cast: type, value: Any):
+    """``cast(value)``, or a ConfigError naming ``key``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DynamicsConfig:
     a_self: Optional[tuple[tuple[float, ...], ...]] = None
@@ -57,8 +66,12 @@ class DynamicsConfig:
         return cls(
             a_self=None if a_self is None else tuple(tuple(float(v) for v in row) for row in a_self),
             b_self=None if b_self is None else tuple(tuple(float(v) for v in row) for row in b_self),
-            coupling_scale=float(_get(data, "coupling_scale", 0.01)),
-            b_coupling_scale=float(_get(data, "b_coupling_scale", 0.0)),
+            coupling_scale=_cast(
+                "dynamics.coupling_scale", float, _get(data, "coupling_scale", 0.01)
+            ),
+            b_coupling_scale=_cast(
+                "dynamics.b_coupling_scale", float, _get(data, "b_coupling_scale", 0.0)
+            ),
         )
 
     def to_json_dict(self) -> dict:
@@ -78,7 +91,10 @@ class CostConfig:
     @classmethod
     def parse(cls, data: Mapping[str, Any]) -> "CostConfig":
         _reject_unknown("cost", data, ["s_diag", "s_off"])
-        return cls(s_diag=float(_get(data, "s_diag", 200.0)), s_off=float(_get(data, "s_off", -10.0)))
+        return cls(
+            s_diag=_cast("cost.s_diag", float, _get(data, "s_diag", 200.0)),
+            s_off=_cast("cost.s_off", float, _get(data, "s_off", -10.0)),
+        )
 
     def to_json_dict(self) -> dict:
         return {"s_diag": self.s_diag, "s_off": self.s_off}
@@ -166,7 +182,10 @@ class ExperimentConfig:
         if not self.architectures:
             raise ConfigError("at least one architecture is required")
         for name in self.architectures:
-            Architecture.parse(name)
+            try:
+                Architecture.parse(name)
+            except ValueError as exc:
+                raise ConfigError(f"architectures: {exc}") from None
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for key, values in (("architectures", self.architectures), ("seeds", self.seeds)):
@@ -251,25 +270,25 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
     if graphs is None and example is None:
         example = "example1"
     return ExperimentConfig(
-        n_agents=int(data["n_agents"]),
+        n_agents=_cast("n_agents", int, data["n_agents"]),
         example=example,
         graphs=None if graphs is None else GraphConfig.parse(graphs),
-        n_x=int(_get(data, "n_x", 3)),
-        n_u=int(_get(data, "n_u", 3)),
+        n_x=_cast("n_x", int, _get(data, "n_x", 3)),
+        n_u=_cast("n_u", int, _get(data, "n_u", 3)),
         dynamics=DynamicsConfig.parse(data.get("dynamics") or {}),
         cost=CostConfig.parse(data.get("cost") or {}),
-        sigma_w=float(_get(data, "sigma_w", 1.0)),
-        sigma_eta=float(_get(data, "sigma_eta", 1.0)),
-        t_rollout=int(_get(data, "t_rollout", 500)),
-        t_eval=int(_get(data, "t_eval", 500)),
-        n_iterations=int(_get(data, "n_iterations", 15)),
-        alpha=float(_get(data, "alpha", 1e-3)),
-        zeta=float(_get(data, "zeta", 1e-6)),
-        sigma0=float(_get(data, "sigma0", 1.0)),
+        sigma_w=_cast("sigma_w", float, _get(data, "sigma_w", 1.0)),
+        sigma_eta=_cast("sigma_eta", float, _get(data, "sigma_eta", 1.0)),
+        t_rollout=_cast("t_rollout", int, _get(data, "t_rollout", 500)),
+        t_eval=_cast("t_eval", int, _get(data, "t_eval", 500)),
+        n_iterations=_cast("n_iterations", int, _get(data, "n_iterations", 15)),
+        alpha=_cast("alpha", float, _get(data, "alpha", 1e-3)),
+        zeta=_cast("zeta", float, _get(data, "zeta", 1e-6)),
+        sigma0=_cast("sigma0", float, _get(data, "sigma0", 1.0)),
         architectures=tuple(
             str(a) for a in _get(data, "architectures", ["indirect", "direct", "undecomposed_direct", "centralized"])
         ),
-        seeds=tuple(int(s) for s in _get(data, "seeds", [0])),
+        seeds=tuple(_cast("seeds", int, s) for s in _get(data, "seeds", [0])),
         output_dir=data.get("output_dir"),
         force_full_sets=bool(_get(data, "force_full_sets", False)),
         oracle_diagnostics=bool(_get(data, "oracle_diagnostics", False)),

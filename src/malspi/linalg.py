@@ -25,6 +25,8 @@ _EPS = float(np.finfo(float).eps)
 _MAX_DOUBLINGS = 64
 # Largest scaled residual (see ``lyapunov_residual``) a solution may have.
 LYAPUNOV_RESIDUAL_GATE = 1e-9
+# Bytes of matrix powers ``stability_report`` holds at once (at least one power).
+_POWER_WINDOW_BYTES = 1 << 20
 
 
 class InstabilityError(RuntimeError):
@@ -180,7 +182,11 @@ def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityRepor
     tau is the maximum of ||(X / rho)^k||_2 over k = 0..max_power; for a
     nilpotent or zero matrix (rho = 0) tau defaults to one.  Powering the
     normalized matrix keeps every term of order tau, where rho^k alone
-    would underflow for small rho.
+    would underflow for small rho.  The powers are formed and their norms
+    taken a window at a time, as many powers as fit in
+    ``_POWER_WINDOW_BYTES`` (1 MiB, 25 powers at n = 72, all 200 for
+    n <= 25), so the working memory is O(window * n^2) whatever
+    ``max_power`` is.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -189,9 +195,16 @@ def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityRepor
     if rho <= 1e-14 or max_power < 1:
         return StabilityReport(rho=rho, tau=1.0)
     normalized = m / rho
-    powers = np.empty((max_power,) + m.shape)
-    powers[0] = normalized
-    for k in range(1, max_power):
-        np.matmul(powers[k - 1], normalized, out=powers[k])
-    norms = np.linalg.svd(powers, compute_uv=False)[:, 0]
-    return StabilityReport(rho=rho, tau=max(1.0, float(np.max(norms))))
+    window = max(1, min(max_power, _POWER_WINDOW_BYTES // normalized.nbytes))
+    powers = np.empty((window,) + m.shape)
+    window_peaks = []
+    for start in range(0, max_power, window):
+        count = min(window, max_power - start)
+        for k in range(count):
+            if start + k == 0:
+                powers[0] = normalized
+            else:
+                # slot -1 holds the previous (full) window's last power
+                np.matmul(powers[k - 1], normalized, out=powers[k])
+        window_peaks.append(np.max(np.linalg.svd(powers[:count], compute_uv=False)[:, 0]))
+    return StabilityReport(rho=rho, tau=max(1.0, float(np.max(window_peaks))))

@@ -244,7 +244,9 @@ class LstdqOperator:
     zero pivot, or when the reciprocal 1-norm condition estimate is not
     above ``rcond``.  ``exact_sigma_min=True`` also records the operator's
     exact minimum singular value, an SVD that costs several times the
-    factorization.
+    factorization.  The operator keeps its bundle, so together they hold
+    the set's working set: Phi and the regressor rows (T x d each) and the
+    d x d LU, (2 T d + d^2) * 8 bytes.
     """
 
     def __init__(

@@ -228,6 +228,30 @@ def _oracle_error(
     return float(np.linalg.norm(q_aggregate - q_true)), ()
 
 
+def _evaluate_set(
+    batch: TrajectoryBatch,
+    est_set: AgentSet,
+    policy: StructuredPolicy,
+    owners: AgentSet,
+    system: MultiAgentSystem,
+) -> tuple[tuple[str, ...], Optional[float], Optional[np.ndarray]]:
+    """Flags, rcond and the d x k packed solution of one estimation set.
+
+    The packed solution is None when the set is flagged ``underdetermined``
+    or ``singular``.  The regression and its LU are local to this call, so
+    they are released before the caller builds the next set's.
+    """
+    try:
+        bundle = build_regression(batch, est_set, policy, owners, system)
+    except UnderdeterminedError:
+        return ("underdetermined",), None, None
+    try:
+        op = LstdqOperator(bundle)
+    except SingularOperatorError as err:
+        return ("singular",), err.rcond, None
+    return (), op.diagnostics.rcond, op.solve_cost(bundle.owner_costs)
+
+
 def run_malspi(
     system: MultiAgentSystem,
     architecture: Architecture,
@@ -241,6 +265,11 @@ def run_malspi(
     underdetermined regression flags the affected agents for that iteration
     and carries their gains forward unchanged.  Deterministic given the
     config seed, regardless of how per-agent work is scheduled.
+
+    Estimation sets are evaluated one at a time and each set's regression
+    and factorization are released before the next set's are built, so the
+    evaluation step holds at most one set's (2 T d + d^2) * 8 bytes, with
+    d the largest set's feature dimension.
     """
     graphs = system.graphs
     n = graphs.n_agents
@@ -294,20 +323,12 @@ def run_malspi(
         set_flags: dict[AgentSet, tuple[str, ...]] = {}
         set_rcond: dict[AgentSet, Optional[float]] = {}
         for est_set, owners in owners_by_set.items():
-            try:
-                bundle = build_regression(batch, est_set, policy, owners, system)
-            except UnderdeterminedError:
-                set_flags[est_set], set_rcond[est_set] = ("underdetermined",), None
-                continue
-            try:
-                op = LstdqOperator(bundle)
-            except SingularOperatorError as err:
-                set_flags[est_set], set_rcond[est_set] = ("singular",), err.rcond
-                continue
-            set_flags[est_set], set_rcond[est_set] = (), op.diagnostics.rcond
-            packed = op.solve_cost(bundle.owner_costs)
-            for col, owner in enumerate(owners):
-                solutions[(est_set, owner)] = smat(packed[:, col])
+            set_flags[est_set], set_rcond[est_set], packed = _evaluate_set(
+                batch, est_set, policy, owners, system
+            )
+            if packed is not None:
+                for col, owner in enumerate(owners):
+                    solutions[(est_set, owner)] = smat(packed[:, col])
         wall_eval = time.perf_counter() - t0
 
         # --- policy improvement: aggregate, floor eigenvalues, one gradient step

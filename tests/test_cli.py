@@ -177,11 +177,17 @@ def test_bad_config_fails_loudly(tmp_path):
 @pytest.mark.parametrize("command", [["run"], ["graphs"], ["bounds"], ["bench", "--n-agents", "3"]])
 def test_config_error_is_a_one_line_cli_error(tmp_path, command):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n_agents": 2, "mystery": 1}))
-    result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
-    assert result.output == "Error: unknown keys in configuration: ['mystery']\n"
+    for config, message in [
+        ({"n_agents": 2, "mystery": 1}, "unknown keys in configuration: ['mystery']"),
+        ({"n_agents": 2, "architectures": ["foo"]}, "architectures: unknown architecture 'foo'; "
+         "expected one of: centralized, direct, indirect, undecomposed_direct"),
+        ({"n_agents": "x"}, "n_agents must be an integer, got 'x'"),
+    ]:
+        path.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+        assert result.output == f"Error: {message}\n"
 
 
 def test_repeated_seed_override_is_a_cli_error(config_file, tmp_path):

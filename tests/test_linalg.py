@@ -1,9 +1,11 @@
 """Packed symmetric vectors, Lyapunov solves, projection, stability."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from malspi import linalg
 from malspi.linalg import (
     InstabilityError,
     lyapunov_solve,
@@ -184,3 +186,41 @@ def test_stability_report_matches_power_oracle():
         tau_oracle = max(tau_oracle, np.linalg.norm(power, 2) / rho**k)
     assert report.rho == pytest.approx(rho)
     assert report.tau == pytest.approx(tau_oracle, rel=1e-10)
+
+
+def _stacked_tau(m, max_power):
+    """tau from all powers of X / rho at once and one batched SVD."""
+    normalized = m / spectral_radius(m)
+    powers = np.empty((max_power,) + m.shape)
+    powers[0] = normalized
+    for k in range(1, max_power):
+        np.matmul(powers[k - 1], normalized, out=powers[k])
+    return max(1.0, float(np.max(np.linalg.svd(powers, compute_uv=False)[:, 0])))
+
+
+W = 16
+
+
+@pytest.mark.parametrize("n", [1, 6, 72])
+@pytest.mark.parametrize("max_power", [1, W - 1, W, W + 1, 200])
+@pytest.mark.parametrize("window", [1, W, None])
+def test_stability_report_windows_match_stacked_powers_bitwise(monkeypatch, n, max_power, window):
+    if window is not None:
+        monkeypatch.setattr(linalg, "_POWER_WINDOW_BYTES", window * 8 * n * n)
+    rng = np.random.default_rng(1000 * n + max_power)
+    m = rng.normal(size=(n, n)) / math.sqrt(n)
+    report = stability_report(m, max_power=max_power)
+    assert report.rho == spectral_radius(m)
+    assert report.tau == _stacked_tau(m, max_power)
+
+
+def test_stability_report_memory_does_not_grow_with_max_power():
+    # all 200 powers of a 72 x 72 matrix take 8.3 MB
+    m = np.random.default_rng(7).normal(size=(72, 72)) / math.sqrt(72)
+    tracemalloc.start()
+    try:
+        stability_report(m, max_power=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * linalg._POWER_WINDOW_BYTES

@@ -1,5 +1,6 @@
 """Policy gradient updates and the full iteration loop."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -341,3 +342,47 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
         assert shape == (150, len(owners_by_set[est_set]))
     assert len(rebuilds) == n_iter
     assert any(not np.array_equal(r.gain, records[0].gain) for r in records[1:])
+
+
+@pytest.mark.parametrize(
+    "arch, sigma_eta",
+    [(arch, 1.0) for arch in Architecture] + [(Architecture.INDIRECT, 0.0)],
+    ids=[arch.value for arch in Architecture] + ["indirect-singular"],
+)
+def test_one_estimation_set_alive_at_a_time(monkeypatch, arch, sigma_eta):
+    # every regression and factorization is released before the next set's
+    # is built; with no exploration noise every set is flagged singular
+    g = generate_example1(4)
+    system = build_example_system(g, n_x=1, n_u=1)
+    cfg = MalspiConfig(n_iterations=2, t_rollout=150, t_eval=50, alpha=1e-4, seed=12,
+                       sigma_eta=sigma_eta, k0=zero_policy(g, 1, 1))
+    built, factorized = [], []
+    real_build = policy_iteration.build_regression
+    real_operator = policy_iteration.LstdqOperator
+
+    def earlier_alive(current=None):
+        live = (ref() for ref in built + factorized)
+        return [obj for obj in live if obj is not None and obj is not current]
+
+    def tracked_build(*args, **kwargs):
+        assert not earlier_alive()
+        bundle = real_build(*args, **kwargs)
+        built.append(weakref.ref(bundle))
+        return bundle
+
+    def tracked_operator(bundle, **kwargs):
+        assert not earlier_alive(current=bundle)
+        op = real_operator(bundle, **kwargs)
+        factorized.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(policy_iteration, "build_regression", tracked_build)
+    monkeypatch.setattr(policy_iteration, "LstdqOperator", tracked_operator)
+    records = run_malspi(system, arch, cfg)
+
+    flags = {d.flags for r in records[1:] for d in r.agents}
+    if sigma_eta == 0.0:
+        assert flags == {("singular",)} and not factorized
+    else:
+        assert flags == {()} and len(factorized) == len(built)
+    assert len(built) >= cfg.n_iterations
