@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 from pathlib import Path
 
 import click
@@ -25,7 +26,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .graphs import CouplingGraphs, dependency_sets, graphical_conditions
 from .policy_iteration import ARCHITECTURE_NAMES
 from .runner import run_experiment, timing_benchmark, write_bench_csv
-from .system import zero_policy
+from .system import extract_subsystem, zero_policy
 from .verify import run_all_checks
 
 ENV_OUTPUT_ROOT = "MALSPI_OUTPUT_ROOT"
@@ -75,13 +76,33 @@ class _Main(click.Group):
             raise click.ClickException(str(exc)) from None
 
 
+def _echo(message: str) -> None:
+    # Without ``file=``, click.echo caches a wrapper for sys.stdout in a
+    # WeakKeyDictionary whose value is the stream itself, so every stream
+    # it is handed (one per in-process invocation) stays alive for good.
+    # get_text_stream resolves the stream per call and caches nothing.
+    click.echo(message, file=click.get_text_stream("stdout"))
+
+
 @click.group(cls=_Main)
 @click.option("--verbose", is_flag=True, help="Log per-run progress.")
-def main(verbose: bool) -> None:
-    logging.basicConfig(
-        level=logging.INFO if verbose else logging.WARNING,
-        format="%(asctime)s %(name)s %(message)s",
-    )
+@click.pass_context
+def main(ctx: click.Context, verbose: bool) -> None:
+    # Each invocation logs to its own stderr at its own level and undoes
+    # both when it ends; logging.basicConfig would keep the first
+    # invocation's stream and level for the rest of the process.
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(asctime)s %(name)s %(message)s"))
+    previous_level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO if verbose else logging.WARNING)
+
+    def restore() -> None:
+        root.removeHandler(handler)
+        root.setLevel(previous_level)
+
+    ctx.call_on_close(restore)
 
 
 _seed_opt = click.option("--seed", "seeds", multiple=True, type=int, help="Override config seeds.")
@@ -106,10 +127,10 @@ def run(config_path: str, output: str | None, seeds, archs, n_agents) -> None:
     config = _apply_overrides(load_config(config_path), seeds, archs, n_agents)
     out_dir = _resolve_output(config, output)
     table = run_experiment(config, out_dir)
-    click.echo(f"wrote {len(table.curves)} curve rows to {out_dir}")
+    _echo(f"wrote {len(table.curves)} curve rows to {out_dir}")
     for row in table.timing:
         mean = "NA" if row.mean_iteration_s is None else f"{row.mean_iteration_s:.4f}s"
-        click.echo(f"  {row.architecture:>20}: mean iteration {mean}")
+        _echo(f"  {row.architecture:>20}: mean iteration {mean}")
 
 
 @main.command("graphs")
@@ -138,7 +159,7 @@ def graphs_cmd(config_path: str, agent: int | None, n_agents) -> None:
                 for j, (cond_b, strict) in cond.partners.items()
             },
         }
-    click.echo(json.dumps(report, indent=2))
+    _echo(json.dumps(report, indent=2))
 
 
 @main.command()
@@ -156,12 +177,16 @@ def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: 
     agents = _selected_agents(graphs, agent)
     deps = dependency_sets(graphs)
     policy = zero_policy(graphs, system.n_x, system.n_u)
-    # One measurement per distinct (agent set, cost owners) pair: a value
-    # set recurs as a member of every gradient set that contains its owner.
+    # One measurement per distinct restricted system: a value set recurs in
+    # every gradient set that contains its owner, and identical agents
+    # restrict to identical matrices.  The noise levels, sigma0, o_tilde and
+    # the policy are fixed for this invocation, so the restricted matrices
+    # decide the measurement; they are compared byte for byte.
     measured = {}
 
     def inputs(agent_set, cost_owners):
-        key = (agent_set, cost_owners)
+        sub = extract_subsystem(system, policy, agent_set, cost_owners)
+        key = tuple((m.shape, m.tobytes()) for m in (sub.a, sub.b, sub.k, sub.s, sub.r))
         if key not in measured:
             measured[key] = bound_inputs_from_subsystem(
                 system, policy, policy, agent_set, cost_owners,
@@ -183,7 +208,7 @@ def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: 
             "direct": sample_bound_direct(direct_inputs, epsilon=epsilon).to_dict(),
             "indirect": sample_bound_indirect(member_inputs, epsilon=epsilon).to_dict(),
         }
-    click.echo(json.dumps(report, indent=2))
+    _echo(json.dumps(report, indent=2))
 
 
 @main.command()
@@ -195,10 +220,10 @@ def verify() -> None:
         status = "PASS" if result.passed else "FAIL"
         if not result.passed:
             failed += 1
-        click.echo(f"[{status}] {result.name}: {result.detail}")
+        _echo(f"[{status}] {result.name}: {result.detail}")
     if failed:
         raise SystemExit(1)
-    click.echo(f"all {len(results)} checks passed")
+    _echo(f"all {len(results)} checks passed")
 
 
 @main.command()
@@ -230,19 +255,19 @@ def bench(config_path: str, n_list, archs, warmup: int, measured: int, t_mode: s
     write_bench_csv(out_dir / "bench.csv", cells)
     for cell in cells:
         if cell.skipped:
-            click.echo(f"  {cell.architecture:>20} N={cell.n_agents}: NA (skipped)")
+            _echo(f"  {cell.architecture:>20} N={cell.n_agents}: NA (skipped)")
         else:
             ratio = (
                 "" if cell.ratio_vs_indirect is None
                 else f" ratio_vs_indirect {cell.ratio_vs_indirect:.2f}"
             )
-            click.echo(
+            _echo(
                 f"  {cell.architecture:>20} N={cell.n_agents}: "
                 f"mean {cell.mean_iteration_s:.4f}s median {cell.median_iteration_s:.4f}s "
                 f"(T={cell.t_rollout}){ratio}; frozen updates {cell.frozen_updates}, "
                 f"diverged evals {cell.diverged_evals}"
             )
-    click.echo(f"wrote {out_dir / 'bench.csv'}")
+    _echo(f"wrote {out_dir / 'bench.csv'}")
 
 
 if __name__ == "__main__":

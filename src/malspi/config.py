@@ -1,11 +1,12 @@
 """Strict JSON experiment configuration.
 
 One document describes a full experiment: the coupling topology (a named
-example or explicit edge lists), per-agent dynamics overrides, cost
-parameters, noise levels, learning knobs, the architectures to run, and the
-seed list.  Unknown keys are rejected at every level so typos in sweep
-definitions fail loudly.  Parsing and serialization round-trip to a
-canonical form.
+example or explicit edge lists), team-wide dynamics overrides (one
+``a_self``/``b_self`` block shared by every agent, and the coupling
+scales), cost parameters, noise levels, learning knobs, the architectures
+to run, and the seed list.  Unknown keys are rejected at every level so
+typos in sweep definitions fail loudly.  Parsing and serialization
+round-trip to a canonical form.
 """
 from __future__ import annotations
 

@@ -1,16 +1,18 @@
 """Command-line interface surfaces."""
+import gc
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
 from malspi import bounds as bounds_mod
-from malspi import cli
+from malspi import cli, linalg
 from malspi.cli import main
-from malspi.config import load_config
+from malspi.config import ExperimentConfig, load_config
 from malspi.graphs import dependency_sets
-from malspi.system import zero_policy
+from malspi.system import build_system, extract_subsystem, zero_policy
 
 
 @pytest.fixture()
@@ -61,9 +63,20 @@ def test_bounds_subcommand_emits_calculators(config_file):
     assert entry["indirect"]["t_min"] == pytest.approx(entry["direct"]["t_min"])
 
 
-def test_bounds_measures_each_distinct_set_once(tmp_path, monkeypatch):
-    path = tmp_path / "example2.json"
-    path.write_text(json.dumps({"n_agents": 6, "example": "example2"}))
+def _restricted_system(system, policy, agent_set, owners):
+    """The restricted matrices a bound measurement reads, as comparable bytes."""
+    sub = extract_subsystem(system, policy, agent_set, owners)
+    return tuple((m.shape, m.tobytes()) for m in (sub.a, sub.b, sub.k, sub.s, sub.r))
+
+
+def _bounds_with_counts(path):
+    """Run ``malspi bounds --epsilon 0.1`` on ``path``, counting measurements.
+
+    Checks the JSON against a reference measured per (agent set, owners)
+    pair without any sharing.  Returns each pair the report needs mapped to
+    its restricted system, the pairs the CLI measured, and the number of
+    stability certificates it took.
+    """
     config = load_config(path)
     system = config.build_system()
     deps = dependency_sets(system.graphs)
@@ -77,12 +90,10 @@ def test_bounds_measures_each_distinct_set_once(tmp_path, monkeypatch):
 
     reference = {}
     pairs = set()
-    uncached_calls = 0
     for i in system.graphs.agents:
         grad_set = deps.gradient[i]
         members = [(deps.value[j], (j,)) for j in grad_set]
         pairs.update([(deps.direct[i], grad_set), *members])
-        uncached_calls += 1 + len(members)
         reference[str(i)] = {
             "direct_set": list(deps.direct[i]),
             "gradient_set": list(grad_set),
@@ -91,28 +102,105 @@ def test_bounds_measures_each_distinct_set_once(tmp_path, monkeypatch):
             "indirect": bounds_mod.sample_bound_indirect(
                 [measure(*m) for m in members], epsilon=0.1).to_dict(),
         }
-    calls = Counter()
+    systems = {pair: _restricted_system(system, policy, *pair) for pair in pairs}
+    measured = []
     certified = []
-    real_inputs = cli.bound_inputs_from_subsystem
-    real_report = bounds_mod.stability_report
 
     def counted_inputs(system, eval_policy, play_policy, agent_set, owners, **kwargs):
-        calls[(tuple(agent_set), tuple(owners))] += 1
-        return real_inputs(system, eval_policy, play_policy, agent_set, owners, **kwargs)
+        measured.append((tuple(agent_set), tuple(owners)))
+        return bounds_mod.bound_inputs_from_subsystem(
+            system, eval_policy, play_policy, agent_set, owners, **kwargs)
 
     def counted_report(mat):
         certified.append(mat.shape[0])
-        return real_report(mat)
+        return linalg.stability_report(mat)
 
-    monkeypatch.setattr(cli, "bound_inputs_from_subsystem", counted_inputs)
-    monkeypatch.setattr(bounds_mod, "stability_report", counted_report)
-    result = CliRunner().invoke(main, ["bounds", str(path), "--epsilon", "0.1"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "bound_inputs_from_subsystem", counted_inputs)
+        patch.setattr(bounds_mod, "stability_report", counted_report)
+        result = CliRunner().invoke(main, ["bounds", str(path), "--epsilon", "0.1"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output) == json.loads(json.dumps(reference))
-    assert uncached_calls > len(pairs)
-    assert set(calls) == pairs and set(calls.values()) == {1}
-    # Play and evaluated policies are one object: one certificate per set.
-    assert len(certified) == len(pairs)
+    return systems, measured, len(certified)
+
+
+def test_bounds_measures_each_distinct_set_once(tmp_path):
+    for example, n_agents, n_pairs, n_systems in [("example2", 6, 7, 3), ("example1", 8, 12, 6)]:
+        path = tmp_path / f"{example}.json"
+        path.write_text(json.dumps({"n_agents": n_agents, "example": example}))
+        systems, measured, certified = _bounds_with_counts(path)
+        # Identical agents restrict many pairs to the same matrices.
+        assert (len(systems), len(set(systems.values()))) == (n_pairs, n_systems)
+        # One measurement per distinct restricted system, whichever pair
+        # reaches it first; play and evaluated policies are one object, so
+        # one certificate each.
+        measured_systems = [systems[pair] for pair in measured]
+        assert Counter(measured_systems) == Counter(set(systems.values()))
+        assert certified == n_systems
+
+
+def test_bounds_never_shares_a_measurement_between_different_matrices(tmp_path, monkeypatch):
+    odd = 4
+    build = ExperimentConfig.build_system
+
+    def build_with_odd_follower(self):
+        base = build(self)
+        s_blocks = {**base.s_blocks, odd: 2.0 * base.s_blocks[odd]}
+        return build_system(base.graphs, base.n_x, base.n_u, base.a_blocks, base.b_blocks,
+                            s_blocks, base.r_blocks, base.sigma_w)
+
+    monkeypatch.setattr(ExperimentConfig, "build_system", build_with_odd_follower)
+    path = tmp_path / "example2.json"
+    path.write_text(json.dumps({"n_agents": 6, "example": "example2"}))
+    systems, measured, _ = _bounds_with_counts(path)
+    # Followers 2, 3, 5, 6 still share one system; follower 4 has its own
+    # measurement, and _bounds_with_counts checked its numbers against the
+    # uncached reference.
+    followers = {systems[((1, j), (j,))] for j in (2, 3, 5, 6)}
+    assert len(followers) == 1 and systems[((1, odd), (odd,))] not in followers
+    assert {systems[pair] for pair in measured} == set(systems.values())
+    assert len(set(systems.values())) == 4
+
+
+def test_bounds_invocations_keep_no_output_alive(tmp_path):
+    path = tmp_path / "example2.json"
+    path.write_text(json.dumps({"n_agents": 24, "example": "example2"}))
+    runner = CliRunner()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        # Traced warm-up invocations fill the caches and free lists that
+        # first calls allocate (NumPy keeps freed small buffers), so the
+        # baseline already holds them.
+        for _ in range(5):
+            first = runner.invoke(main, ["bounds", str(path)])
+            assert first.exit_code == 0, first.output
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            result = runner.invoke(main, ["bounds", str(path)])
+            assert result.output == first.output
+        del result
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert growth < len(first.output), f"20 invocations kept {growth} bytes alive"
+
+
+def test_verbose_applies_to_each_invocation(config_file, tmp_path):
+    runner = CliRunner()
+    plain = runner.invoke(main, ["graphs", str(config_file)])
+    assert plain.exit_code == 0, plain.output
+    verbose = runner.invoke(
+        main, ["--verbose", "run", str(config_file), "--output", str(tmp_path / "a")])
+    assert verbose.exit_code == 0, verbose.output
+    assert "running indirect seed 0" in verbose.stderr
+    quiet = runner.invoke(main, ["run", str(config_file), "--output", str(tmp_path / "b")])
+    assert quiet.exit_code == 0, quiet.output
+    assert "running" not in quiet.stderr
 
 
 @pytest.mark.parametrize("command", ["graphs", "bounds"])
