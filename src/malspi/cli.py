@@ -181,12 +181,17 @@ def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: 
     # every gradient set that contains its owner, and identical agents
     # restrict to identical matrices.  The noise levels, sigma0, o_tilde and
     # the policy are fixed for this invocation, so the restricted matrices
-    # decide the measurement; they are compared byte for byte.
+    # decide the measurement; they are compared byte for byte.  Each
+    # (agent set, owners) pair is extracted once to find its key.
     measured = {}
+    keys = {}
 
     def inputs(agent_set, cost_owners):
-        sub = extract_subsystem(system, policy, agent_set, cost_owners)
-        key = tuple((m.shape, m.tobytes()) for m in (sub.a, sub.b, sub.k, sub.s, sub.r))
+        pair = (tuple(agent_set), tuple(cost_owners))
+        if pair not in keys:
+            sub = extract_subsystem(system, policy, agent_set, cost_owners)
+            keys[pair] = tuple((m.shape, m.tobytes()) for m in (sub.a, sub.b, sub.k, sub.s, sub.r))
+        key = keys[pair]
         if key not in measured:
             measured[key] = bound_inputs_from_subsystem(
                 system, policy, policy, agent_set, cost_owners,

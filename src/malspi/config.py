@@ -42,12 +42,26 @@ def _get(data: Mapping[str, Any], key: str, default):
 
 
 def _cast(key: str, cast: type, value: Any):
-    """``cast(value)``, or a ConfigError naming ``key``."""
+    """``cast(value)``, or a ConfigError naming ``key``.
+
+    A JSON boolean is not a number, and an integer key takes no number with
+    a fractional part: neither is silently converted.
+    """
+    kind = "an integer" if cast is int else "a number"
+    fractional = cast is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+
+
+def _flag(key: str, value: Any) -> bool:
+    """A JSON boolean, or a ConfigError naming ``key``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -291,8 +305,8 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
         ),
         seeds=tuple(_cast("seeds", int, s) for s in _get(data, "seeds", [0])),
         output_dir=data.get("output_dir"),
-        force_full_sets=bool(_get(data, "force_full_sets", False)),
-        oracle_diagnostics=bool(_get(data, "oracle_diagnostics", False)),
+        force_full_sets=_flag("force_full_sets", _get(data, "force_full_sets", False)),
+        oracle_diagnostics=_flag("oracle_diagnostics", _get(data, "oracle_diagnostics", False)),
     )
 
 

@@ -10,10 +10,14 @@ error-in-variables system
     q = (Phi' (Phi - Psi_plus + F))^{-1} Phi' c_hat,
 
 computed through one partial-pivoting LU factorization, never an explicit
-inverse.  The factorization is gated on LAPACK's reciprocal 1-norm
-condition estimate (``gecon``, the Hager/Higham estimator), which costs
-O(d^2) on top of the O(d^3) factorization; the exact minimum singular value
-is an O(d^3) diagnostic computed only on request.  With zero process noise
+inverse.  The T x d regressor rows Phi - Psi_plus + F are never held
+whole: the operator is formed one column block at a time from Phi and the
+T x m next-step samples, so one regression holds Phi, the d x d operator
+and one T x w block, (T d + d^2 + T w) * 8 bytes.  The factorization is
+gated on LAPACK's reciprocal 1-norm condition estimate (``gecon``, the
+Hager/Higham estimator), which costs O(d^2) on top of the O(d^3)
+factorization; the exact minimum singular value is an O(d^3) diagnostic
+computed only on request.  With zero process noise
 the relation holds pathwise and the recovery is exact up to conditioning.
 Every product and factorization runs through SciPy's BLAS/LAPACK.
 """
@@ -39,6 +43,12 @@ from .system import (
 AgentSet = tuple[int, ...]
 
 _RCOND_THRESHOLD = 1e-10
+
+# Narrowest regressor column block of the operator product, in columns.
+# Every GEMM call repacks Phi, so narrower blocks cost time; whole svec rows
+# are grouped until a block is at least this wide, and sets with d at most
+# this wide form their operator in one product.
+_BLOCK_COLUMNS = 256
 
 
 class UnderdeterminedError(ValueError):
@@ -107,10 +117,13 @@ class QEstimate:
 
 @dataclass(frozen=True)
 class RegressionBundle:
-    """Feature matrices and costs of one restricted trajectory.
+    """Features, next-step samples and costs of one restricted trajectory.
 
-    ``phi`` and ``regressors`` = Phi - Psi_plus + F are T x d; the noise
-    row ``f_row`` is constant across time.  ``owner_costs`` is T x k:
+    ``phi`` is the T x d feature matrix Phi and ``z_next`` the T x m
+    on-policy next-step samples [x(t+1); K x(t+1)] whose svec rows are
+    Psi_plus; the noise row ``f_row`` is constant across time.  The
+    regressor rows Phi - Psi_plus + F are formed block by block inside
+    ``LstdqOperator`` and never stored.  ``owner_costs`` is T x k:
     column j is the unaggregated stage-cost sequence of ``cost_owners[j]``,
     so one solve serves every owner; ``c_hat`` is their row sum.
     """
@@ -120,7 +133,7 @@ class RegressionBundle:
     n_x: int
     n_u: int
     phi: np.ndarray
-    regressors: np.ndarray
+    z_next: np.ndarray
     f_row: np.ndarray
     owner_costs: np.ndarray
     k_eval: np.ndarray
@@ -144,21 +157,44 @@ class RegressionBundle:
         return self.owner_costs.sum(axis=1)
 
 
-def _svec_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise svec of outer products z_t z_t', a Fortran-ordered T x d array.
+def _svec_rows(z: np.ndarray, first: int = 0, stop: Optional[int] = None,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise svec of outer products z_t z_t', upper-triangle rows first..stop-1.
 
     Upper-triangle row i is one block of columns, z_i z_i then sqrt(2) z_i z_j
-    for j > i, written in one pass; no T x m x m cube is formed.
+    for j > i, written in one pass; consecutive rows are consecutive svec
+    columns.  Writes into ``out`` (T x width of the rows), else into a new
+    Fortran-ordered array; all m rows by default.  No T x m x m cube is
+    formed.
     """
-    scaled = z * math.sqrt(2.0)
     m = z.shape[1]
-    out = np.empty((z.shape[0], svec_dim(m)), order="F")
+    stop = m if stop is None else stop
+    if out is None:
+        out = np.empty((z.shape[0], sum(m - i for i in range(first, stop))), order="F")
     start = 0
-    for i in range(m):
+    for i in range(first, stop):
         np.multiply(z[:, i], z[:, i], out=out[:, start])
-        np.multiply(scaled[:, i + 1 :], z[:, i : i + 1], out=out[:, start + 1 : start + m - i])
+        upper = out[:, start + 1 : start + m - i]
+        np.multiply(z[:, i + 1 :], math.sqrt(2.0), out=upper)
+        upper *= z[:, i : i + 1]
         start += m - i
     return out
+
+
+def _row_blocks(m: int) -> list[tuple[int, int, int, int]]:
+    """Groups of whole svec rows at least ``_BLOCK_COLUMNS`` wide.
+
+    Returns (first row, stop row, first column, stop column) per group; the
+    last group takes what is left and may be narrower.
+    """
+    blocks = []
+    first = c0 = c1 = 0
+    for i in range(m):
+        c1 += m - i
+        if c1 - c0 >= _BLOCK_COLUMNS or i == m - 1:
+            blocks.append((first, i + 1, c0, c1))
+            first, c0 = i + 1, c1
+    return blocks
 
 
 def build_regression(
@@ -216,18 +252,13 @@ def build_regression(
                 "ti,ij,tj->t", xc, system.s_blocks[j], xc
             ) + np.einsum("ti,ij,tj->t", uc, system.r_blocks[j], uc)
 
-    phi = _svec_rows(z_now)
-    # Phi - Psi_plus + F, formed in place over Psi_plus
-    regressors = _svec_rows(z_next)
-    np.subtract(phi, regressors, out=regressors)
-    regressors += f_row
     return RegressionBundle(
         index_set=agents,
         cost_owners=owners,
         n_x=system.n_x,
         n_u=system.n_u,
-        phi=phi,
-        regressors=regressors,
+        phi=_svec_rows(z_now),
+        z_next=z_next,
         f_row=f_row,
         owner_costs=owner_costs,
         k_eval=sub.k,
@@ -244,9 +275,14 @@ class LstdqOperator:
     zero pivot, or when the reciprocal 1-norm condition estimate is not
     above ``rcond``.  ``exact_sigma_min=True`` also records the operator's
     exact minimum singular value, an SVD that costs several times the
-    factorization.  The operator keeps its bundle, so together they hold
-    the set's working set: Phi and the regressor rows (T x d each) and the
-    d x d LU, (2 T d + d^2) * 8 bytes.
+    factorization.  The operator is formed one group of whole svec rows at
+    a time: the group's Psi_plus columns are written into one reusable
+    T x w block, turned into regressor columns Phi - Psi_plus + F in place,
+    and multiplied by Phi' straight into the operator's columns, so the
+    T x d regressor rows never exist.  The operator keeps its bundle, so
+    together they hold the set's working set: Phi (T x d), the d x d LU
+    and, while the operator is formed, one block of w >= ``_BLOCK_COLUMNS``
+    columns (or d, if smaller): (T d + d^2 + T w) * 8 bytes.
     """
 
     def __init__(
@@ -257,10 +293,23 @@ class LstdqOperator:
         exact_sigma_min: bool = False,
     ):
         self.bundle = bundle
-        # SciPy's BLAS, like the LU and the solves: NumPy links a second
-        # OpenBLAS, and alternating the two thread pools oversubscribes the
-        # cores.  The Fortran-ordered product is factorized in place.
-        operator = scipy.linalg.blas.dgemm(1.0, bundle.phi, bundle.regressors, trans_a=True)
+        phi, z_next, f_row = bundle.phi, bundle.z_next, bundle.f_row
+        blocks = _row_blocks(z_next.shape[1])
+        block = np.empty((bundle.t_length, max(c1 - c0 for *_, c0, c1 in blocks)), order="F")
+        operator = np.empty((bundle.d, bundle.d), order="F")
+        for first, stop, c0, c1 in blocks:
+            # Phi - Psi_plus + F, formed in place over the block's Psi_plus
+            regressors = _svec_rows(z_next, first, stop, out=block[:, : c1 - c0])
+            np.subtract(phi[:, c0:c1], regressors, out=regressors)
+            regressors += f_row[c0:c1]
+            # SciPy's BLAS, like the LU and the solves: NumPy links a second
+            # OpenBLAS, and alternating the two thread pools oversubscribes
+            # the cores.  The product lands in the operator's own columns.
+            scipy.linalg.blas.dgemm(
+                1.0, phi, regressors, trans_a=True, c=operator[:, c0:c1], overwrite_c=True
+            )
+        del block, regressors
+        # The Fortran-ordered operator is factorized in place.
         getrf, gecon, lange = scipy.linalg.get_lapack_funcs(
             ("getrf", "gecon", "lange"), (operator,)
         )

@@ -268,8 +268,9 @@ def run_malspi(
 
     Estimation sets are evaluated one at a time and each set's regression
     and factorization are released before the next set's are built, so the
-    evaluation step holds at most one set's (2 T d + d^2) * 8 bytes, with
-    d the largest set's feature dimension.
+    evaluation step holds at most one set's (T d + d^2 + T w) * 8 bytes:
+    its features, its LU and one regressor block of w columns
+    (``LstdqOperator``), with d the largest set's feature dimension.
     """
     graphs = system.graphs
     n = graphs.n_agents

@@ -433,6 +433,7 @@ def extract_subsystem(
     r_sub = np.zeros((dim_u, dim_u))
     member_set = set(agents)
     scale = 1.0 / system.n_agents if average else 1.0
+    pos = {a: k for k, a in enumerate(agents)}
     for j in owners:
         cost_set = system.graphs.cost_in_neighbors(j)
         outside = [c for c in cost_set if c not in member_set]
@@ -442,7 +443,6 @@ def extract_subsystem(
             )
         if not cost_set:
             continue
-        pos = {a: k for k, a in enumerate(agents)}
         x_idx = np.concatenate(
             [pos[c] * system.n_x + np.arange(system.n_x) for c in cost_set]
         )

@@ -55,3 +55,55 @@ def test_setup_probe_imports_resolve():
     for module, name in imported:
         assert callable(_resolve(module, name)), f"{module}.{name}"
     assert callable(_resolve("malspi.policy_iteration", "Architecture.parse"))
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise AssertionError(f"no function {name}")
+
+
+def test_lstdq_operator_counter_reads_bundle_properties():
+    bundle_type = _resolve("malspi.lstdq", "RegressionBundle")
+    counter = _function(_parse("tracing.py"), "_lstdq_operator_counts")
+    read = {
+        node.attr
+        for node in ast.walk(counter)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "bundle"
+    }
+    assert {"d", "t_length"} <= read
+    for attr in read:
+        assert isinstance(getattr(bundle_type, attr, None), property), attr
+
+
+def _workload_names() -> set[tuple[str, str]]:
+    """Every malspi name workloads.py imports, or reaches as ``alias.name``."""
+    tree = _parse("workloads.py")
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("malspi"):
+            for alias in node.names:
+                if node.module == "malspi":
+                    modules[alias.asname or alias.name] = f"malspi.{alias.name}"
+                else:
+                    names.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def test_workload_names_resolve():
+    names = _workload_names()
+    assert {
+        ("malspi.runner", "run_experiment"),
+        ("malspi.runner", "read_curves_csv"),
+        ("malspi.runner", "read_timing_csv"),
+        ("malspi.config", "parse_config"),
+        ("malspi.cli", "main"),
+        ("malspi.verify", "lyapunov_iteration_oracle"),
+        ("malspi.linalg", "svec_dim"),
+    } <= names
+    for module, name in sorted(names):
+        assert callable(_resolve(module, name)), f"{module}.{name}"

@@ -74,8 +74,9 @@ def _bounds_with_counts(path):
 
     Checks the JSON against a reference measured per (agent set, owners)
     pair without any sharing.  Returns each pair the report needs mapped to
-    its restricted system, the pairs the CLI measured, and the number of
-    stability certificates it took.
+    its restricted system, the pairs the CLI measured, the number of
+    stability certificates it took, and the pairs it extracted to key its
+    measurements.
     """
     config = load_config(path)
     system = config.build_system()
@@ -105,6 +106,11 @@ def _bounds_with_counts(path):
     systems = {pair: _restricted_system(system, policy, *pair) for pair in pairs}
     measured = []
     certified = []
+    extracted = []
+
+    def counted_extract(system, policy, agent_set, owners=(), **kwargs):
+        extracted.append((tuple(agent_set), tuple(owners)))
+        return extract_subsystem(system, policy, agent_set, owners, **kwargs)
 
     def counted_inputs(system, eval_policy, play_policy, agent_set, owners, **kwargs):
         measured.append((tuple(agent_set), tuple(owners)))
@@ -117,20 +123,23 @@ def _bounds_with_counts(path):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "bound_inputs_from_subsystem", counted_inputs)
+        patch.setattr(cli, "extract_subsystem", counted_extract)
         patch.setattr(bounds_mod, "stability_report", counted_report)
         result = CliRunner().invoke(main, ["bounds", str(path), "--epsilon", "0.1"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output) == json.loads(json.dumps(reference))
-    return systems, measured, len(certified)
+    return systems, measured, len(certified), extracted
 
 
 def test_bounds_measures_each_distinct_set_once(tmp_path):
     for example, n_agents, n_pairs, n_systems in [("example2", 6, 7, 3), ("example1", 8, 12, 6)]:
         path = tmp_path / f"{example}.json"
         path.write_text(json.dumps({"n_agents": n_agents, "example": example}))
-        systems, measured, certified = _bounds_with_counts(path)
+        systems, measured, certified, extracted = _bounds_with_counts(path)
         # Identical agents restrict many pairs to the same matrices.
         assert (len(systems), len(set(systems.values()))) == (n_pairs, n_systems)
+        # Each pair is extracted once to key its measurement.
+        assert sorted(extracted) == sorted(systems)
         # One measurement per distinct restricted system, whichever pair
         # reaches it first; play and evaluated policies are one object, so
         # one certificate each.
@@ -152,7 +161,7 @@ def test_bounds_never_shares_a_measurement_between_different_matrices(tmp_path, 
     monkeypatch.setattr(ExperimentConfig, "build_system", build_with_odd_follower)
     path = tmp_path / "example2.json"
     path.write_text(json.dumps({"n_agents": 6, "example": "example2"}))
-    systems, measured, _ = _bounds_with_counts(path)
+    systems, measured, _, _ = _bounds_with_counts(path)
     # Followers 2, 3, 5, 6 still share one system; follower 4 has its own
     # measurement, and _bounds_with_counts checked its numbers against the
     # uncached reference.
@@ -270,6 +279,13 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
         ({"n_agents": 2, "architectures": ["foo"]}, "architectures: unknown architecture 'foo'; "
          "expected one of: centralized, direct, indirect, undecomposed_direct"),
         ({"n_agents": "x"}, "n_agents must be an integer, got 'x'"),
+        ({"n_agents": 2.7}, "n_agents must be an integer, got 2.7"),
+        ({"n_agents": 2, "seeds": [0.9, 1.2]}, "seeds must be an integer, got 0.9"),
+        ({"n_agents": 2, "t_rollout": True}, "t_rollout must be an integer, got True"),
+        ({"n_agents": 2, "alpha": False}, "alpha must be a number, got False"),
+        ({"n_agents": 2, "force_full_sets": "no"}, "force_full_sets must be true or false, got 'no'"),
+        ({"n_agents": 2, "oracle_diagnostics": "false"},
+         "oracle_diagnostics must be true or false, got 'false'"),
     ]:
         path.write_text(json.dumps(config))
         result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])

@@ -1,14 +1,16 @@
 """Error-in-variables policy evaluation on restricted trajectories."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from malspi import lstdq
 from malspi.graphs import build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1
-from malspi.linalg import svec
+from malspi.linalg import svec, svec_dim
 from malspi.lstdq import (
     LstdqOperator,
     SingularOperatorError,
@@ -25,6 +27,19 @@ from malspi.system import (
     zero_policy,
 )
 from malspi.verify import build_noise_free_variant, random_stabilizing_policy, random_system
+
+
+def _svec_samples(z):
+    """svec(z_t z_t') of every row z_t: the upper triangle row by row, the
+    off-diagonal entries scaled by sqrt(2) as (sqrt(2) z_j) z_i."""
+    rows, cols = np.triu_indices(z.shape[1])
+    weights = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    return (z[:, cols] * weights) * z[:, rows]
+
+
+def _regressor_rows(bundle):
+    """The regressor rows Phi - Psi_plus + F the operator multiplies, whole."""
+    return bundle.phi - _svec_samples(bundle.z_next) + bundle.f_row
 
 
 def scalar_system(a=0.5, b=1.0, s=1.0, r=1.0, sigma_w=1.0):
@@ -47,8 +62,10 @@ def test_feature_rows_hand_checked_smallest_instance():
         )
         # the zero gain's next action is 0, and f_row is 0 without noise
         xp = batch.x[t + 1, 0]
+        np.testing.assert_array_equal(bundle.z_next[t], [xp, 0.0])
         np.testing.assert_allclose(
-            bundle.regressors[t], [x * x - xp * xp, math.sqrt(2.0) * x * u, u * u], atol=1e-14
+            _regressor_rows(bundle)[t], [x * x - xp * xp, math.sqrt(2.0) * x * u, u * u],
+            atol=1e-14,
         )
     np.testing.assert_allclose(bundle.f_row, 0.0)
     np.testing.assert_allclose(bundle.c_hat, batch.x[:3, 0] ** 2 + batch.u[:, 0] ** 2)
@@ -136,10 +153,14 @@ def test_rank_deficient_nonzero_operator_raises_singular():
 
 def test_nearly_dependent_columns_fail_the_condition_estimate():
     # two feature columns equal to 1e-14 relative leave no exactly zero LU
-    # pivot; only the condition estimate can flag the operator
+    # pivot; only the condition estimate can flag the operator.  The swapped
+    # Phi also enters the regressor columns Phi - Psi_plus + F, so the
+    # evaluated gain is nonzero: its Psi_plus columns x'u' and u'^2 differ,
+    # and the two regressor columns do not collapse together as well.
     system = scalar_system()
-    policy = zero_policy(system.graphs, 1, 1)
-    bundle = build_regression(rollout(system, policy, 200, 1.0, seed=12), (1,), policy, (1,), system)
+    play = zero_policy(system.graphs, 1, 1)
+    policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[-0.5]]})
+    bundle = build_regression(rollout(system, play, 200, 1.0, seed=12), (1,), policy, (1,), system)
     phi = bundle.phi.copy()
     phi[:, 2] = phi[:, 1] * (1.0 + 1e-14)
     with pytest.raises(SingularOperatorError, match="condition estimate") as err:
@@ -155,7 +176,7 @@ def test_lu_solve_matches_least_squares_reference():
     batch = rollout(system, zero_policy(g, 1, 1), 2000, 1.0, seed=14)
     bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
     op = LstdqOperator(bundle)
-    operator = bundle.phi.T @ bundle.regressors
+    operator = bundle.phi.T @ _regressor_rows(bundle)
     assert op.diagnostics.rcond > 1e-6
     for cost in [bundle.c_hat, *bundle.owner_costs.T]:
         reference = scipy.linalg.lstsq(operator, bundle.phi.T @ cost)[0]
@@ -188,20 +209,119 @@ def test_feature_and_regressor_rows_match_per_sample_svec():
     batch = rollout(system, zero_policy(g, 2, 1), 60, 1.0, seed=22)
     agents = (1, 2, 3)
     bundle = build_regression(batch, agents, policy, agents, system)
-    assert bundle.phi.flags.f_contiguous and bundle.regressors.flags.f_contiguous
+    assert bundle.phi.flags.f_contiguous and bundle.z_next.flags.f_contiguous
     xs, us = batch.states(agents), batch.controls(agents)
     k = extract_subsystem(system, policy, agents).k
+    psi = _svec_samples(bundle.z_next)
     for t in range(batch.length):
         z = np.concatenate([xs[t], us[t]])
         z_next = np.concatenate([xs[t + 1], k @ xs[t + 1]])
         phi = svec(np.outer(z, z))
         np.testing.assert_allclose(bundle.phi[t], phi, rtol=1e-15, atol=0.0)
+        # K x(t+1) is one product over all samples here and per sample above
         np.testing.assert_allclose(
-            bundle.regressors[t],
-            phi - svec(np.outer(z_next, z_next)) + bundle.f_row,
-            rtol=1e-13,
-            atol=1e-13 * np.abs(phi).max(),
+            bundle.z_next[t], z_next, rtol=1e-13, atol=1e-13 * np.abs(z_next).max()
         )
+        np.testing.assert_allclose(
+            psi[t], svec(np.outer(z_next, z_next)), rtol=1e-13, atol=1e-13 * np.abs(psi).max()
+        )
+    # the operator's blocks of Psi_plus columns are whole svec rows, bit for bit
+    m = bundle.z_next.shape[1]
+    np.testing.assert_array_equal(lstdq._svec_rows(bundle.z_next), psi)
+    for first, stop, c0, c1 in [(0, 1, 0, m), (2, 5, 2 * m - 1, 5 * m - 10), (m - 1, m, bundle.d - 1, bundle.d)]:
+        np.testing.assert_array_equal(lstdq._svec_rows(bundle.z_next, first, stop), psi[:, c0:c1])
+
+
+def _greedy_row_blocks(m, width):
+    """Column ranges of consecutive whole svec rows, each grouped until it is
+    at least ``width`` wide; the rest forms the last range."""
+    blocks, c0, c1 = [], 0, 0
+    for i in range(m):
+        c1 += m - i
+        if c1 - c0 >= width or i == m - 1:
+            blocks.append((c0, c1))
+            c0 = c1
+    return blocks
+
+
+def _reference_solve(bundle, operator):
+    lu, piv, info = scipy.linalg.lapack.dgetrf(operator)
+    assert info == 0
+    rhs = scipy.linalg.blas.dgemm(1.0, bundle.phi, bundle.owner_costs, trans_a=True)
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
+@pytest.mark.parametrize(
+    "n_agents,n_x,n_u,width",
+    [
+        (2, 2, 1, None),  # d = 21, below one block: one product, as before blocking
+        (4, 4, 2, None),  # d = 300 in blocks of 264 and 36 at the module's width
+        (4, 2, 1, 23),  # d = 78 in blocks of exactly 23, then 27, 25 and 3
+        (4, 2, 1, 40),  # d = 78 in blocks of 42 and 36
+    ],
+)
+def test_blocked_operator_matches_a_reference_from_per_sample_rows(
+    monkeypatch, n_agents, n_x, n_u, width
+):
+    if width is not None:
+        monkeypatch.setattr(lstdq, "_BLOCK_COLUMNS", width)
+    width = lstdq._BLOCK_COLUMNS
+    rng = np.random.default_rng(23)
+    g = generate_example1(n_agents)
+    system = random_system(rng, g, n_x, n_u)
+    policy = random_stabilizing_policy(rng, system)
+    agents = tuple(g.agents)
+    m = (n_x + n_u) * n_agents
+    batch = rollout(system, zero_policy(g, n_x, n_u), svec_dim(m) + 40, 1.0, seed=24)
+    bundle = build_regression(batch, agents, policy, agents, system)
+    regressors = _regressor_rows(bundle)
+    one_product = scipy.linalg.blas.dgemm(1.0, bundle.phi, regressors, trans_a=True)
+    blocks = _greedy_row_blocks(m, width)
+    assert (len(blocks) == 1) == (bundle.d <= width) and blocks[-1][1] == bundle.d
+    by_block = np.empty((bundle.d, bundle.d), order="F")
+    for c0, c1 in blocks:
+        by_block[:, c0:c1] = scipy.linalg.blas.dgemm(
+            1.0, bundle.phi, np.asfortranarray(regressors[:, c0:c1]), trans_a=True
+        )
+    q = LstdqOperator(bundle).solve_cost(bundle.owner_costs)
+    # Bit for bit against the same column blocks of the whole regressor rows;
+    # with one block that is the one product itself.
+    np.testing.assert_array_equal(q, _reference_solve(bundle, by_block))
+    if len(blocks) == 1:
+        np.testing.assert_array_equal(by_block, one_product)
+    # BLAS may sum a column in another order when it is computed in a
+    # narrower product, so against the one product only to rounding.
+    reference = _reference_solve(bundle, one_product)
+    assert np.linalg.norm(q - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+def test_operator_holds_one_regressor_block_not_the_rows():
+    # The full_set size: example1, N=12, n_x=n_u=2, all agents, T = d + 50.
+    g = generate_example1(12)
+    system = build_example_system(g, n_x=2, n_u=2)
+    policy = zero_policy(g, 2, 2)
+    agents = tuple(g.agents)
+    m, d = 48, svec_dim(48)
+    batch = rollout(system, policy, d + 50, 1.0, seed=25)
+    t = batch.length
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bundle = build_regression(batch, agents, policy, agents, system)
+        LstdqOperator(bundle).solve_cost(bundle.owner_costs)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert bundle.d == d
+    # Phi, the operator and one block of whole svec rows, the widest of which
+    # passes the block width by less than one row of m columns.
+    block = t * (lstdq._BLOCK_COLUMNS + m - 1) * 8
+    limit = (t * d + d * d) * 8 + block + 2**20
+    assert peak < limit, f"peak {peak / 2**20:.1f} MiB >= {limit / 2**20:.1f} MiB"
 
 
 def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
@@ -211,7 +331,7 @@ def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
     policy = zero_policy(g, 1, 1)
     bundle = build_regression(rollout(system, policy, 500, 1.0, seed=16), (1, 2), policy,
                               (1, 2), system)
-    operator = bundle.phi.T @ bundle.regressors
+    operator = bundle.phi.T @ _regressor_rows(bundle)
     diag = lstdq_solve(bundle).diagnostics
     assert diag.threshold == 1e-10
     assert diag.sigma_min == pytest.approx(scipy.linalg.svdvals(operator)[-1], rel=1e-8)
@@ -300,7 +420,7 @@ def test_exact_parameter_empirical_residual_shrinks_like_inverse_sqrt():
         for seed in range(12):
             batch = rollout(system, policy, t_len, 1.0, seed=70_000 + 13 * seed + t_len)
             bundle = build_regression(batch, (1,), policy, (1,), system)
-            residuals.append(abs(np.mean(bundle.c_hat - bundle.regressors @ q_vec)))
+            residuals.append(abs(np.mean(bundle.c_hat - _regressor_rows(bundle) @ q_vec)))
         means.append(np.median(residuals))
     slope = np.polyfit(np.log(t_grid), np.log(means), 1)[0]
     assert -0.8 <= slope <= -0.25
