@@ -17,8 +17,8 @@ and one T x w block, (T d + d^2 + T w) * 8 bytes.  The factorization is
 gated on LAPACK's reciprocal 1-norm condition estimate (``gecon``, the
 Hager/Higham estimator), which costs O(d^2) on top of the O(d^3)
 factorization; the exact minimum singular value is an O(d^3) diagnostic
-computed only on request.  With zero process noise
-the relation holds pathwise and the recovery is exact up to conditioning.
+computed only on request.  With zero process noise the relation holds
+pathwise and the recovery is exact up to conditioning.
 Every product and factorization runs through SciPy's BLAS/LAPACK.
 """
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _svec_rows(z: np.ndarray, first: int = 0, stop: Optional[int] = None,
     """Row-wise svec of outer products z_t z_t', upper-triangle rows first..stop-1.
 
     Upper-triangle row i is one block of columns, z_i z_i then sqrt(2) z_i z_j
-    for j > i, written in one pass; consecutive rows are consecutive svec
+    for j > i, written row by row; consecutive rows are consecutive svec
     columns.  Writes into ``out`` (T x width of the rows), else into a new
     Fortran-ordered array; all m rows by default.  No T x m x m cube is
     formed.
