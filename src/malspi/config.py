@@ -11,6 +11,7 @@ round-trip to a canonical form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
@@ -209,8 +210,33 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} lists {repeated} more than once")
         if self.n_agents < 1:
             raise ConfigError(f"n_agents must be positive, got {self.n_agents}")
+        for key, value in self._numbers():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+        for key in ("n_iterations", "sigma_w", "sigma_eta", "sigma0", "zeta"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)!r}")
+        for key in ("n_x", "n_u", "t_rollout", "t_eval"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)!r}")
         # Fail early on out-of-range explicit edges.
         self.build_graphs()
+
+    def _numbers(self) -> list[tuple[str, float]]:
+        """Every real-valued setting, keyed as in the configuration document."""
+        numbers = [
+            (key, getattr(self, key)) for key in ("sigma_w", "sigma_eta", "alpha", "zeta", "sigma0")
+        ]
+        dyn = self.dynamics
+        numbers += [
+            ("dynamics.coupling_scale", dyn.coupling_scale),
+            ("dynamics.b_coupling_scale", dyn.b_coupling_scale),
+            ("cost.s_diag", self.cost.s_diag),
+            ("cost.s_off", self.cost.s_off),
+        ]
+        for key, block in (("dynamics.a_self", dyn.a_self), ("dynamics.b_self", dyn.b_self)):
+            numbers += [(key, v) for row in block or () for v in row]
+        return numbers
 
     def build_graphs(self) -> CouplingGraphs:
         if self.example is not None:

@@ -133,14 +133,15 @@ def policy_gradient_update(
     ``estimates[i] = (index_set, Q)`` with Q a quadratic form on the index
     set's stacked (x, u) coordinates.  Agent i's step is
     K_i <- K_i - 2 alpha * mean_t [ (Q z_t)_{u_i rows} x_O(t)' ] with z_t
-    the batch's stacked state/control restricted to the index set; the new
-    rows are assembled into one policy.  Only the blocks over each agent's
-    observation in-neighbors change, so the sparsity pattern is preserved.
+    the batch's stacked state/control restricted to the index set, formed
+    once per distinct index set; the new rows are assembled into one
+    policy.  Only the blocks over each agent's observation in-neighbors
+    change, so the sparsity pattern is preserved.
     Raises ValueError when an agent or an agent it observes lies outside
     its index set.
     """
     t_length = batch.length
-    rows: dict[int, np.ndarray] = {}
+    by_set: dict[AgentSet, list[tuple[int, AgentSet, np.ndarray]]] = {}
     for agent, (agent_set, q) in estimates.items():
         if agent not in agent_set:
             raise ValueError(f"agent {agent} is not in the estimate's index set {agent_set}")
@@ -150,14 +151,18 @@ def policy_gradient_update(
             raise ValueError(
                 f"agent {agent} observes {outside} outside the estimate's index set {agent_set}"
             )
-        if not observed:
-            continue
+        if observed:
+            by_set.setdefault(tuple(agent_set), []).append((agent, observed, q))
+    rows: dict[int, np.ndarray] = {}
+    for agent_set, members in by_set.items():
+        # One T x m sample matrix per distinct index set, shared by its agents.
         z = np.hstack([batch.states(agent_set)[:t_length], batch.controls(agent_set)])
-        pos = sorted(agent_set).index(agent)
-        cols = policy.n_x * len(agent_set) + pos * policy.n_u + np.arange(policy.n_u)
-        x_obs = batch.x[:t_length, x_coords(observed, policy.n_x)]
-        grad = ((z @ q[:, cols]).T @ x_obs) / t_length
-        rows[agent] = policy.row_gain(agent) - 2.0 * alpha * grad
+        for agent, observed, q in members:
+            pos = sorted(agent_set).index(agent)
+            cols = policy.n_x * len(agent_set) + pos * policy.n_u + np.arange(policy.n_u)
+            x_obs = batch.x[:t_length, x_coords(observed, policy.n_x)]
+            grad = ((z @ q[:, cols]).T @ x_obs) / t_length
+            rows[agent] = policy.row_gain(agent) - 2.0 * alpha * grad
     return policy.with_row_gains(rows) if rows else policy
 
 

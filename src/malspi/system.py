@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .graphs import CouplingGraphs, GraphValidationError, missing_closure_agent
 from .linalg import InstabilityError, lyapunov_solve, spectral_radius
@@ -232,10 +233,6 @@ class MultiAgentSystem:
     def nu_total(self) -> int:
         return self.n_agents * self.n_u
 
-    def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:
-        """Global averaged stage cost x'Sx + u'Ru."""
-        return float(x @ self.s @ x + u @ self.r @ u)
-
     def agent_stage_cost(self, i: int, x: np.ndarray, u: np.ndarray) -> float:
         """Agent i's unaveraged stage cost from global state/control vectors."""
         owners = self.graphs.cost_in_neighbors(i)
@@ -280,7 +277,7 @@ def build_system(
     n = graphs.n_agents
     if n_x < 1 or n_u < 1:
         raise ValueError("per-agent state and control dimensions must be positive")
-    if sigma_w < 0.0:
+    if not sigma_w >= 0.0:
         raise ValueError(f"sigma_w must be nonnegative, got {sigma_w}")
 
     a_global = np.zeros((n * n_x, n * n_x))
@@ -550,7 +547,7 @@ def _initial_state(
         return mean + z
     sig = np.asarray(sigma0, dtype=float)
     if sig.ndim == 0:
-        if sig < 0:
+        if not sig >= 0:
             raise ValueError("initial covariance scale must be nonnegative")
         return mean + math.sqrt(float(sig)) * z
     if sig.ndim == 1:
@@ -558,6 +555,37 @@ def _initial_state(
     eigvals, eigvecs = np.linalg.eigh(0.5 * (sig + sig.T))
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     return mean + root @ z
+
+
+def _times_transposed(
+    rows: np.ndarray, mat: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``rows @ mat.T`` as a C-ordered array, computed by SciPy's BLAS.
+
+    With ``out`` (C-ordered, rows.shape[0] x mat.shape[0]) the product is
+    added into it in place and ``out`` is returned.  The LSTDQ products and
+    LU run on SciPy's BLAS too: NumPy links a second OpenBLAS, and waking
+    its thread pool with a product this size leaves it competing with
+    SciPy's for the cores.  ``rows.T`` and ``out.T`` are Fortran-ordered,
+    and the Fortran-ordered product mat @ rows.T is the C-ordered result's
+    transpose, so nothing is copied.
+    """
+    if out is None:
+        return scipy.linalg.blas.dgemm(1.0, mat, rows.T).T
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-ordered")
+    scipy.linalg.blas.dgemm(1.0, mat, rows.T, beta=1.0, c=out.T, overwrite_c=True)
+    return out
+
+
+def _simulate(
+    system: MultiAgentSystem, gain: np.ndarray, x: np.ndarray, drive: np.ndarray
+) -> None:
+    """Fill x[1:] with x[t+1] = (A + B K) x[t] + drive[t], given x[0]."""
+    closed = system.a + _times_transposed(system.b, gain.T)
+    for current, following, step_drive in zip(x[:-1], x[1:], drive):
+        np.dot(closed, current, out=following)
+        following += step_drive
 
 
 def rollout(
@@ -578,19 +606,20 @@ def rollout(
     """
     if t_length < 1:
         raise ValueError(f"rollout length must be >= 1, got {t_length}")
-    if sigma_eta < 0.0:
+    if not sigma_eta >= 0.0:
         raise ValueError(f"sigma_eta must be nonnegative, got {sigma_eta}")
     rng = np.random.default_rng(seed)
     nx, nu = system.nx_total, system.nu_total
-    x = np.zeros((t_length + 1, nx))
-    u = np.zeros((t_length, nu))
-    x[0] = _initial_state(rng, nx, x0, sigma0)
-    etas = sigma_eta * rng.standard_normal((t_length, nu))
-    noises = system.sigma_w * rng.standard_normal((t_length, nx))
     gain = play_policy.gain
-    for t in range(t_length):
-        u[t] = gain @ x[t] + etas[t]
-        x[t + 1] = system.a @ x[t] + system.b @ u[t] + noises[t]
+    x = np.empty((t_length + 1, nx))
+    x[0] = _initial_state(rng, nx, x0, sigma0)
+    etas = rng.standard_normal((t_length, nu))
+    etas *= sigma_eta
+    drive = rng.standard_normal((t_length, nx))
+    drive *= system.sigma_w
+    _times_transposed(etas, system.b, out=drive)  # B eta_t + w_t
+    _simulate(system, gain, x, drive)
+    u = _times_transposed(x[:t_length], gain, out=etas)  # K x_t + eta_t, over eta
     return TrajectoryBatch(
         x=_as_readonly(x),
         u=_as_readonly(u),
@@ -625,21 +654,32 @@ def average_cost(
 ) -> CostEvaluation:
     """Average of the global stage cost over a T-step closed-loop rollout.
 
-    Uses u = Kx with process noise only.  An unstable closed loop is
-    flagged rather than raised: the result carries value = inf.
+    Uses u = Kx with process noise only: the cost averages x_t'S x_t +
+    u_t'R u_t over t = 0..T-1.  An unstable closed loop is flagged rather
+    than raised: when any of x_1..x_T is non-finite or exceeds
+    ``_DIVERGENCE_LIMIT`` in magnitude, the result carries value = inf.
     """
     if t_eval < 1:
         raise ValueError(f"t_eval must be >= 1, got {t_eval}")
     rng = np.random.default_rng(seed)
     nx = system.nx_total
-    x = _initial_state(rng, nx, x0, sigma0)
-    noises = system.sigma_w * rng.standard_normal((t_eval, nx))
     gain = policy.gain
-    total = 0.0
-    for t in range(t_eval):
-        u = gain @ x
-        total += system.stage_cost(x, u)
-        x = system.a @ x + system.b @ u + noises[t]
-        if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > _DIVERGENCE_LIMIT:
+    x = np.empty((t_eval + 1, nx))
+    x[0] = _initial_state(rng, nx, x0, sigma0)
+    noises = rng.standard_normal((t_eval, nx))
+    noises *= system.sigma_w
+    with np.errstate(over="ignore", invalid="ignore"):
+        _simulate(system, gain, x, noises)
+        # NaN propagates through max and fails the comparison, so this one
+        # test also catches every non-finite state.
+        if not np.max(np.abs(x[1:])) <= _DIVERGENCE_LIMIT:
             return CostEvaluation(value=math.inf, diverged=True)
+    states = x[:t_eval]
+    controls = _times_transposed(states, gain)
+    total = 0.0
+    for rows, weight in ((states, system.s), (controls, system.r)):
+        # sum_t rows_t' W rows_t
+        weighted = _times_transposed(rows, weight.T)
+        weighted *= rows
+        total += float(weighted.sum())
     return CostEvaluation(value=total / t_eval, diverged=False)

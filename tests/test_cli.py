@@ -286,6 +286,17 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
         ({"n_agents": 2, "force_full_sets": "no"}, "force_full_sets must be true or false, got 'no'"),
         ({"n_agents": 2, "oracle_diagnostics": "false"},
          "oracle_diagnostics must be true or false, got 'false'"),
+        ({"n_agents": 2, "sigma_eta": float("nan")}, "sigma_eta must be finite, got nan"),
+        ({"n_agents": 2, "alpha": float("inf")}, "alpha must be finite, got inf"),
+        ({"n_agents": 2, "dynamics": {"coupling_scale": float("-inf")}},
+         "dynamics.coupling_scale must be finite, got -inf"),
+        ({"n_agents": 2, "t_eval": 0}, "t_eval must be at least 1, got 0"),
+        ({"n_agents": 2, "t_rollout": 0}, "t_rollout must be at least 1, got 0"),
+        ({"n_agents": 2, "sigma_w": -1}, "sigma_w must be nonnegative, got -1.0"),
+        ({"n_agents": 2, "sigma0": -1}, "sigma0 must be nonnegative, got -1.0"),
+        ({"n_agents": 2, "zeta": -1}, "zeta must be nonnegative, got -1.0"),
+        ({"n_agents": 2, "n_iterations": -1}, "n_iterations must be nonnegative, got -1"),
+        ({"n_agents": 2, "n_x": 0}, "n_x must be at least 1, got 0"),
     ]:
         path.write_text(json.dumps(config))
         result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])

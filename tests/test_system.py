@@ -1,4 +1,7 @@
 """System assembly, subsystem extraction, exact Q matrices, rollouts, costs."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -257,6 +260,109 @@ def test_rollout_deterministic_given_seed():
     b2 = rollout(sys2, p, 40, 0.7, seed=123)
     assert b1.x.tobytes() == b2.x.tobytes()
     assert b1.u.tobytes() == b2.u.tobytes()
+
+
+def _random_closed_loop(seed, n_agents=3, n_x=2, n_u=2):
+    rng = np.random.default_rng(seed)
+    g = random_graphs(rng, n_agents, edge_prob=0.5, cost_self_loops=True)
+    system = random_system(rng, g, n_x, n_u, sigma_w=0.6)
+    return system, random_stabilizing_policy(rng, system)
+
+
+def test_rollout_satisfies_the_dynamics_with_the_seeds_noise():
+    system, play = _random_closed_loop(11)
+    t_length, sigma_eta, seed = 300, 0.7, 12
+    batch = rollout(system, play, t_length, sigma_eta, seed=seed)
+    # The seed's draws, in rollout's order: initial state, exploration, process noise.
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(system.nx_total)
+    etas = sigma_eta * rng.standard_normal((t_length, system.nu_total))
+    noises = system.sigma_w * rng.standard_normal((t_length, system.nx_total))
+    x, u = batch.x, batch.u
+    assert x.shape == (t_length + 1, system.nx_total) and u.shape == (t_length, system.nu_total)
+    assert x[0].tobytes() == x0.tobytes()
+
+    def rel_gap(value, reference):
+        return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+    assert rel_gap(u, x[:-1] @ play.gain.T + etas) < 1e-12
+    assert rel_gap(x[1:], x[:-1] @ system.a.T + u @ system.b.T + noises) < 1e-12
+
+
+def _reference_average_cost(system, policy, t_eval, seed, x0=None, sigma0=1.0):
+    """Per-step evaluation: stage cost x'Sx + u'Ru, then a divergence test per step."""
+    rng = np.random.default_rng(seed)
+    nx = system.nx_total
+    mean = np.zeros(nx) if x0 is None else np.asarray(x0, dtype=float)
+    x = mean + math.sqrt(sigma0) * rng.standard_normal(nx)
+    noises = system.sigma_w * rng.standard_normal((t_eval, nx))
+    total = 0.0
+    for t in range(t_eval):
+        u = policy.gain @ x
+        total += float(x @ system.s @ x) + float(u @ system.r @ u)
+        x = system.a @ x + system.b @ u + noises[t]
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
+            return math.inf, True
+    return total / t_eval, False
+
+
+def test_average_cost_matches_a_per_step_reference():
+    for seed in (21, 22, 23):
+        system, policy = _random_closed_loop(seed)
+        result = average_cost(system, policy, 400, seed=seed + 100)
+        value, diverged = _reference_average_cost(system, policy, 400, seed + 100)
+        assert not result.diverged and not diverged
+        assert result.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_average_cost_deterministic_given_seed():
+    system, policy = _random_closed_loop(31)
+    first = average_cost(system, policy, 250, seed=np.random.SeedSequence(5))
+    second = average_cost(system, policy, 250, seed=np.random.SeedSequence(5))
+    assert np.float64(first.value).tobytes() == np.float64(second.value).tobytes()
+    assert first.diverged == second.diverged
+
+
+def _deterministic(a_blocks, n_agents, x0):
+    """Noise-free plant with zero input map and gain: x_t = A^t x0 exactly."""
+    loops = [(i, i) for i in range(1, n_agents + 1)]
+    edges = [(i, j) for i in range(1, n_agents + 1) for j in range(1, n_agents + 1)]
+    g = build_coupling_graphs(n_agents, edges, loops, loops)
+    system = build_system(
+        g, 1, 1, a_blocks, {}, {i: [[1.0]] for i, _ in loops}, {i: [[1.0]] for i, _ in loops}, 0.0
+    )
+    policy = zero_policy(g, 1, 1)
+    return system, policy, np.asarray(x0, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "a_blocks, n_agents, x0, t_eval, diverged",
+    [
+        # Doubling from 1 first exceeds 1e12 at step 40 (2^39 < 1e12 < 2^40).
+        ({(1, 1): [[2.0]], (2, 2): [[0.5]]}, 2, [1.0, 1.0], 39, False),
+        ({(1, 1): [[2.0]], (2, 2): [[0.5]]}, 2, [1.0, 1.0], 40, True),
+        # Held still at the limit: |x| = 1e12 is not beyond it, one ulp more is.
+        ({(1, 1): [[1.0]]}, 1, [np.nextafter(1e12, 0.0)], 30, False),
+        ({(1, 1): [[1.0]]}, 1, [1e12], 30, False),
+        ({(1, 1): [[1.0]]}, 1, [np.nextafter(1e12, math.inf)], 30, True),
+        # Overflows to inf at step 2, and inf - inf gives NaN at step 3.
+        ({(1, 1): [[1e160]], (1, 2): [[-1e160]], (2, 1): [[1e160]], (2, 2): [[1e160]]},
+         2, [1.0, 2.0], 50, True),
+    ],
+)
+def test_average_cost_divergence_matches_the_per_step_rule(
+    a_blocks, n_agents, x0, t_eval, diverged
+):
+    system, policy, x0 = _deterministic(a_blocks, n_agents, x0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = average_cost(system, policy, t_eval, seed=0, x0=x0, sigma0=0.0)
+        value, ref_diverged = _reference_average_cost(system, policy, t_eval, 0, x0, 0.0)
+    assert result.diverged == ref_diverged == diverged
+    if diverged:
+        assert result.value == math.inf
+    else:
+        assert result.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_rollout_matches_stationary_covariance():
