@@ -46,13 +46,10 @@ from .system import (
 )
 from .lstdq import (
     LstdqOperator,
-    QEstimate,
     RegressionBundle,
     SingularOperatorError,
-    SolveDiagnostics,
     UnderdeterminedError,
     build_regression,
-    lstdq_solve,
 )
 from .policy_iteration import (
     AgentDiagnostics,

@@ -17,12 +17,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from .bounds import bound_inputs_from_subsystem, sample_bound_direct, sample_bound_indirect
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, load_config
+from .config import parse_config  # noqa: F401  unused; a perfbench span rebinds this name
 from .graphs import CouplingGraphs, dependency_sets, graphical_conditions
 from .policy_iteration import ARCHITECTURE_NAMES
 from .runner import run_experiment, timing_benchmark, write_bench_csv
@@ -42,18 +44,17 @@ def _resolve_output(config: ExperimentConfig, override: str | None) -> Path:
 
 
 def _apply_overrides(config: ExperimentConfig, seeds, archs, n_agents) -> ExperimentConfig:
-    data = config.to_json_dict()
+    changes = {}
     if seeds:
-        data["seeds"] = [int(s) for s in seeds]
+        changes["seeds"] = tuple(seeds)
     if archs:
-        data["architectures"] = list(archs)
+        changes["architectures"] = tuple(archs)
     if n_agents is not None:
-        data["n_agents"] = int(n_agents)
-        if data["graphs"] is not None:
-            raise click.ClickException(
-                "--n-agents cannot override a config with explicit graphs"
-            )
-    return parse_config(data)
+        if config.graphs is not None:
+            raise click.ClickException("--n-agents cannot override a config with explicit graphs")
+        changes["n_agents"] = n_agents
+    # replace re-runs the configuration's validation
+    return replace(config, **changes)
 
 
 def _selected_agents(graphs: CouplingGraphs, agent: int | None) -> list[int]:
@@ -236,8 +237,8 @@ def verify() -> None:
 @click.option("--n-agents", "n_list", multiple=True, type=int, required=True,
               help="Agent counts to benchmark (repeatable).")
 @_arch_opt
-@click.option("--warmup", type=int, default=1, show_default=True)
-@click.option("--measured", type=int, default=2, show_default=True)
+@click.option("--warmup", type=click.IntRange(min=0), default=1, show_default=True)
+@click.option("--measured", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--t-mode", type=click.Choice(["fixed", "auto"]), default="fixed", show_default=True,
               help="'auto' raises the rollout length so full-set regressions stay determined.")
 @click.option("--centralized-max-n", type=int, default=20, show_default=True)

@@ -58,6 +58,20 @@ def _cast(key: str, cast: type, value: Any):
         raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
 
 
+def _list(key: str, value: Any) -> Sequence:
+    """A JSON list, or a ConfigError naming ``key``; a string is not a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _block(key: str, value: Any) -> Optional[tuple[tuple[float, ...], ...]]:
+    """A matrix given as a list of rows of numbers, or None."""
+    if value is None:
+        return None
+    return tuple(tuple(_cast(key, float, v) for v in _list(key, row)) for row in _list(key, value))
+
+
 def _flag(key: str, value: Any) -> bool:
     """A JSON boolean, or a ConfigError naming ``key``."""
     if not isinstance(value, bool):
@@ -77,11 +91,9 @@ class DynamicsConfig:
         _reject_unknown(
             "dynamics", data, ["a_self", "b_self", "coupling_scale", "b_coupling_scale"]
         )
-        a_self = data.get("a_self")
-        b_self = data.get("b_self")
         return cls(
-            a_self=None if a_self is None else tuple(tuple(float(v) for v in row) for row in a_self),
-            b_self=None if b_self is None else tuple(tuple(float(v) for v in row) for row in b_self),
+            a_self=_block("dynamics.a_self", data.get("a_self")),
+            b_self=_block("dynamics.b_self", data.get("b_self")),
             coupling_scale=_cast(
                 "dynamics.coupling_scale", float, _get(data, "coupling_scale", 0.01)
             ),
@@ -128,7 +140,13 @@ class GraphConfig:
         def edges(key: str) -> tuple[tuple[int, int], ...]:
             if key not in data:
                 raise ConfigError(f"graphs section is missing {key}")
-            return tuple(sorted((int(a), int(b)) for a, b in data[key]))
+            name = f"graphs.{key}"
+            pairs = []
+            for edge in _list(name, data[key]):
+                if len(_list(name, edge)) != 2:
+                    raise ConfigError(f"{name}: edge {edge!r} is not a (from, to) pair")
+                pairs.append((_cast(name, int, edge[0]), _cast(name, int, edge[1])))
+            return tuple(sorted(pairs))
         return cls(edges("edges_s"), edges("edges_o"), edges("edges_c"))
 
     def to_json_dict(self) -> dict:
@@ -204,6 +222,8 @@ class ExperimentConfig:
                 raise ConfigError(f"architectures: {exc}") from None
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
         for key, values in (("architectures", self.architectures), ("seeds", self.seeds)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
@@ -219,8 +239,16 @@ class ExperimentConfig:
         for key in ("n_x", "n_u", "t_rollout", "t_eval"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)!r}")
-        # Fail early on out-of-range explicit edges.
-        self.build_graphs()
+        for key, block, cols in (("dynamics.a_self", self.dynamics.a_self, self.n_x),
+                                 ("dynamics.b_self", self.dynamics.b_self, self.n_u)):
+            lengths = [len(row) for row in block or ()]
+            if block is not None and lengths != [cols] * self.n_x:
+                raise ConfigError(f"{key} must be {self.n_x}x{cols}, got rows of lengths {lengths}")
+        # Fail early on out-of-range explicit edges and too few agents for an example.
+        try:
+            self.build_graphs()
+        except ValueError as exc:
+            raise ConfigError(f"{'graphs' if self.example is None else 'n_agents'}: {exc}") from None
 
     def _numbers(self) -> list[tuple[str, float]]:
         """Every real-valued setting, keyed as in the configuration document."""
@@ -247,18 +275,21 @@ class ExperimentConfig:
         )
 
     def build_system(self) -> MultiAgentSystem:
-        return build_example_system(
-            self.build_graphs(),
-            n_x=self.n_x,
-            n_u=self.n_u,
-            a_self=None if self.dynamics.a_self is None else np.array(self.dynamics.a_self),
-            b_self=None if self.dynamics.b_self is None else np.array(self.dynamics.b_self),
-            coupling_scale=self.dynamics.coupling_scale,
-            b_coupling_scale=self.dynamics.b_coupling_scale,
-            s_diag=self.cost.s_diag,
-            s_off=self.cost.s_off,
-            sigma_w=self.sigma_w,
-        )
+        try:
+            return build_example_system(
+                self.build_graphs(),
+                n_x=self.n_x,
+                n_u=self.n_u,
+                a_self=None if self.dynamics.a_self is None else np.array(self.dynamics.a_self),
+                b_self=None if self.dynamics.b_self is None else np.array(self.dynamics.b_self),
+                coupling_scale=self.dynamics.coupling_scale,
+                b_coupling_scale=self.dynamics.b_coupling_scale,
+                s_diag=self.cost.s_diag,
+                s_off=self.cost.s_off,
+                sigma_w=self.sigma_w,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"cost: {exc}") from None
 
     def malspi_config(self, seed: int) -> MalspiConfig:
         return MalspiConfig(
@@ -327,9 +358,9 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
         zeta=_cast("zeta", float, _get(data, "zeta", 1e-6)),
         sigma0=_cast("sigma0", float, _get(data, "sigma0", 1.0)),
         architectures=tuple(
-            str(a) for a in _get(data, "architectures", ["indirect", "direct", "undecomposed_direct", "centralized"])
+            str(a) for a in _list("architectures", _get(data, "architectures", ExperimentConfig.architectures))
         ),
-        seeds=tuple(_cast("seeds", int, s) for s in _get(data, "seeds", [0])),
+        seeds=tuple(_cast("seeds", int, s) for s in _list("seeds", _get(data, "seeds", [0]))),
         output_dir=data.get("output_dir"),
         force_full_sets=_flag("force_full_sets", _get(data, "force_full_sets", False)),
         oracle_diagnostics=_flag("oracle_diagnostics", _get(data, "oracle_diagnostics", False)),

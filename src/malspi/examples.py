@@ -87,8 +87,8 @@ def build_cost_blocks(
         eigs = np.linalg.eigvalsh(small)
         if eigs.min() < -1e-9 * max(1.0, abs(eigs).max()):
             raise ValueError(
-                f"cost block of agent {i} is not positive semi-definite "
-                f"(cost neighborhood size {k}, min eig {eigs.min():.3g})"
+                f"s_diag {s_diag!r} and s_off {s_off!r} leave the cost block of agent {i} "
+                f"not positive semi-definite (cost neighborhood size {k}, min eig {eigs.min():.3g})"
             )
         s_blocks[i] = np.kron(small, np.eye(n_x))
         r_blocks[i] = np.eye(k * n_u)

@@ -16,21 +16,21 @@ T x m next-step samples, so one regression holds Phi, the d x d operator
 and one T x w block, (T d + d^2 + T w) * 8 bytes.  The factorization is
 gated on LAPACK's reciprocal 1-norm condition estimate (``gecon``, the
 Hager/Higham estimator), which costs O(d^2) on top of the O(d^3)
-factorization; the exact minimum singular value is an O(d^3) diagnostic
-computed only on request.  With zero process noise the relation holds
-pathwise and the recovery is exact up to conditioning.
+factorization.  With zero process noise the relation holds pathwise and
+the recovery is exact up to conditioning.
 Every product and factorization runs through SciPy's BLAS/LAPACK.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import psd_project, smat, svec, svec_dim
+from .linalg import psd_project  # noqa: F401  unused; a perfbench span rebinds this name
+from .linalg import svec, svec_dim
 from .system import (
     MultiAgentSystem,
     StructuredPolicy,
@@ -80,42 +80,6 @@ class SingularOperatorError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolveDiagnostics:
-    """Conditioning record of one LSTDQ factorization.
-
-    ``rcond`` is the reciprocal 1-norm condition estimate the ``singular``
-    gate compares against ``threshold``; ``sigma_min`` is the exact minimum
-    singular value of the operator, None unless requested.
-    """
-
-    feature_dim: int
-    t_length: int
-    rcond: float
-    sigma_min: Optional[float]
-    threshold: float
-
-
-@dataclass(frozen=True)
-class QEstimate:
-    """Packed and matrix forms of an estimated quadratic Q-function.
-
-    ``zeta`` records the eigenvalue floor when the estimate has been
-    projected; None marks a raw least-squares solution.
-    """
-
-    q: np.ndarray
-    matrix: np.ndarray
-    index_set: AgentSet
-    diagnostics: Optional[SolveDiagnostics] = None
-    zeta: Optional[float] = None
-
-    def project(self, zeta: float) -> "QEstimate":
-        """Eigenvalue-floored copy; idempotent for matching zeta."""
-        projected = psd_project(self.matrix, zeta)
-        return replace(self, q=svec(projected), matrix=projected, zeta=zeta)
-
-
-@dataclass(frozen=True)
 class RegressionBundle:
     """Features, next-step samples and costs of one restricted trajectory.
 
@@ -136,8 +100,6 @@ class RegressionBundle:
     z_next: np.ndarray
     f_row: np.ndarray
     owner_costs: np.ndarray
-    k_eval: np.ndarray
-    sigma_w: float
 
     @property
     def m(self) -> int:
@@ -203,31 +165,21 @@ def build_regression(
     eval_policy: StructuredPolicy,
     cost_owner_set: Iterable[int],
     system: MultiAgentSystem,
-    *,
-    require_closed: bool = True,
-    allow_underdetermined: bool = False,
 ) -> RegressionBundle:
     """Assemble the error-in-variables regression for one agent subset.
 
     The evaluation policy is restricted to the subset, which must be closed
-    for exactness (override with ``require_closed=False``).  The aggregated
-    cost sums the unaveraged stage costs of ``cost_owner_set``; each owner's
-    cost in-neighbors must lie inside the subset.  Raises
-    UnderdeterminedError when the trajectory is shorter than the feature
-    dimension unless explicitly allowed.
+    for exactness.  The aggregated cost sums the unaveraged stage costs of
+    ``cost_owner_set``; each owner's cost in-neighbors must lie inside the
+    subset.  Raises UnderdeterminedError when the trajectory is shorter than
+    the feature dimension.
     """
-    sub = extract_subsystem(
-        system,
-        eval_policy,
-        index_set,
-        cost_owners=cost_owner_set,
-        require_closed=require_closed,
-    )
+    sub = extract_subsystem(system, eval_policy, index_set, cost_owners=cost_owner_set)
     agents = sub.agents
     t_length = batch.length
     m = sub.m
     d = svec_dim(m)
-    if t_length < d and not allow_underdetermined:
+    if t_length < d:
         raise UnderdeterminedError(t_length, d)
 
     # stacked samples [x; u] now and on-policy next, Fortran-ordered
@@ -261,8 +213,6 @@ def build_regression(
         z_next=z_next,
         f_row=f_row,
         owner_costs=owner_costs,
-        k_eval=sub.k,
-        sigma_w=sub.sigma_w,
     )
 
 
@@ -273,25 +223,18 @@ class LstdqOperator:
     cost right-hand sides.  Raises SingularOperatorError at construction
     when the operator is all zero or not finite, when the LU has an exactly
     zero pivot, or when the reciprocal 1-norm condition estimate is not
-    above ``rcond``.  ``exact_sigma_min=True`` also records the operator's
-    exact minimum singular value, an SVD that costs several times the
-    factorization.  The operator is formed one group of whole svec rows at
-    a time: the group's Psi_plus columns are written into one reusable
-    T x w block, turned into regressor columns Phi - Psi_plus + F in place,
-    and multiplied by Phi' straight into the operator's columns, so the
+    above ``_RCOND_THRESHOLD``; ``rcond`` keeps the estimate that passed.
+    The operator is formed one group of whole svec rows at a time: the
+    group's Psi_plus columns are written into one reusable T x w block,
+    turned into regressor columns Phi - Psi_plus + F in place, and
+    multiplied by Phi' straight into the operator's columns, so the
     T x d regressor rows never exist.  The operator keeps its bundle, so
     together they hold the set's working set: Phi (T x d), the d x d LU
     and, while the operator is formed, one block of w >= ``_BLOCK_COLUMNS``
     columns (or d, if smaller): (T d + d^2 + T w) * 8 bytes.
     """
 
-    def __init__(
-        self,
-        bundle: RegressionBundle,
-        *,
-        rcond: float = _RCOND_THRESHOLD,
-        exact_sigma_min: bool = False,
-    ):
+    def __init__(self, bundle: RegressionBundle):
         self.bundle = bundle
         phi, z_next, f_row = bundle.phi, bundle.z_next, bundle.f_row
         blocks = _row_blocks(z_next.shape[1])
@@ -318,24 +261,15 @@ class LstdqOperator:
             raise SingularOperatorError(
                 f"operator 1-norm {anorm:.3g}", 0.0 if anorm == 0.0 else math.nan
             )
-        sigma_min = None
-        if exact_sigma_min:
-            sigma_min = float(scipy.linalg.svdvals(operator, check_finite=False)[-1])
         lu, piv, info = getrf(operator, overwrite_a=True)
         if info > 0:
             raise SingularOperatorError(f"LU pivot {info} of {bundle.d} is exactly zero", 0.0)
-        rcond_est = float(gecon(lu, anorm, norm="1")[0])
-        if not rcond_est > rcond:
+        rcond = float(gecon(lu, anorm, norm="1")[0])
+        if not rcond > _RCOND_THRESHOLD:
             raise SingularOperatorError(
-                f"reciprocal condition estimate {rcond_est:.3g} <= {rcond:.3g}", rcond_est
+                f"reciprocal condition estimate {rcond:.3g} <= {_RCOND_THRESHOLD:.3g}", rcond
             )
-        self.diagnostics = SolveDiagnostics(
-            feature_dim=bundle.d,
-            t_length=bundle.t_length,
-            rcond=rcond_est,
-            sigma_min=sigma_min,
-            threshold=rcond,
-        )
+        self.rcond = rcond
         self._lu = lu
         self._piv = piv
 
@@ -350,20 +284,3 @@ class LstdqOperator:
         rhs = scipy.linalg.blas.dgemm(1.0, self.bundle.phi, block, trans_a=True)
         q = scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
         return q[:, 0] if np.ndim(cost) == 1 else q
-
-
-def lstdq_solve(bundle: RegressionBundle, *, rcond: float = _RCOND_THRESHOLD) -> QEstimate:
-    """Solve the regression for the bundle's aggregated cost.
-
-    Returns the raw (unprojected) estimate with conditioning diagnostics,
-    including the exact minimum singular value; apply ``QEstimate.project``
-    for the eigenvalue-floored version.
-    """
-    op = LstdqOperator(bundle, rcond=rcond, exact_sigma_min=True)
-    q = op.solve_cost(bundle.c_hat)
-    return QEstimate(
-        q=q,
-        matrix=smat(q),
-        index_set=bundle.index_set,
-        diagnostics=op.diagnostics,
-    )

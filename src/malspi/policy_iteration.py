@@ -254,7 +254,7 @@ def _evaluate_set(
         op = LstdqOperator(bundle)
     except SingularOperatorError as err:
         return ("singular",), err.rcond, None
-    return (), op.diagnostics.rcond, op.solve_cost(bundle.owner_costs)
+    return (), op.rcond, op.solve_cost(bundle.owner_costs)
 
 
 def run_malspi(

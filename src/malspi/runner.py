@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig
 from .io import read_rows_csv, write_rows_csv
 from .linalg import svec_dim
 from .policy_iteration import Architecture, IterationRecord, run_malspi
@@ -305,13 +305,18 @@ def timing_benchmark(
     """
     if t_mode not in ("fixed", "auto"):
         raise ValueError(f"t_mode must be 'fixed' or 'auto', got {t_mode!r}")
+    if warmup < 0 or measured < 1:
+        raise ValueError(f"need warmup >= 0 and measured >= 1, got {warmup} and {measured}")
     archs = tuple(architectures) if architectures is not None else config.architectures
     parsed = {name: Architecture.parse(name) for name in archs}
     full_dim_archs = {name for name, a in parsed.items() if a is Architecture.CENTRALIZED}
 
     cells: list[BenchCell] = []
     for n in n_list:
-        cfg_n = _with_overrides(config, n, archs, warmup + measured)
+        if config.graphs is not None and n != config.n_agents:
+            raise ValueError("explicit graphs cannot be rescaled; use a named example for benchmarks")
+        cfg_n = replace(config, n_agents=int(n), architectures=archs,
+                        n_iterations=warmup + measured, oracle_diagnostics=False)
         active = [a for a in archs if not (a in full_dim_archs and n > centralized_max_n)]
         t_run = cfg_n.t_rollout
         if t_mode == "auto" and any(a in full_dim_archs for a in active):
@@ -359,19 +364,6 @@ def timing_benchmark(
             ]
         cells.extend(row_cells)
     return cells
-
-
-def _with_overrides(
-    config: ExperimentConfig, n_agents: int, archs: Sequence[str], n_iterations: int
-) -> ExperimentConfig:
-    data = config.to_json_dict()
-    data["n_agents"] = int(n_agents)
-    data["architectures"] = list(archs)
-    data["n_iterations"] = int(n_iterations)
-    data["oracle_diagnostics"] = False
-    if data["graphs"] is not None and config.n_agents != n_agents:
-        raise ValueError("explicit graphs cannot be rescaled; use a named example for benchmarks")
-    return parse_config(data)
 
 
 BENCH_HEADER = [

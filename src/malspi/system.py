@@ -233,15 +233,6 @@ class MultiAgentSystem:
     def nu_total(self) -> int:
         return self.n_agents * self.n_u
 
-    def agent_stage_cost(self, i: int, x: np.ndarray, u: np.ndarray) -> float:
-        """Agent i's unaveraged stage cost from global state/control vectors."""
-        owners = self.graphs.cost_in_neighbors(i)
-        if not owners:
-            return 0.0
-        xc = x[x_coords(owners, self.n_x)]
-        uc = u[u_coords(owners, self.n_u)]
-        return float(xc @ self.s_blocks[i] @ xc + uc @ self.r_blocks[i] @ uc)
-
 
 def _check_psd(name: str, mat: np.ndarray, *, strict: bool) -> None:
     if mat.size == 0:
@@ -395,28 +386,25 @@ def extract_subsystem(
     cost_owners: Iterable[int] = (),
     *,
     average: bool = False,
-    require_closed: bool = True,
 ) -> Subsystem:
     """Restrict dynamics, gain, and an owner-aggregated cost to an agent subset.
 
     The subset must be closed under the state/observation reachability
-    relation unless ``require_closed`` is False (callers may override for
-    deliberately unrestricted baselines).  Each cost owner's in-neighbor set
-    must lie inside the subset.  ``average=True`` folds in the 1/N global
-    averaging; otherwise owner costs are summed raw.
+    relation, and each cost owner's in-neighbor set must lie inside it.
+    ``average=True`` folds in the 1/N global averaging; otherwise owner
+    costs are summed raw.
     """
     agents = tuple(sorted(set(int(a) for a in index_set)))
     for a in agents:
         system.graphs.require_valid_agent(a)
     if not agents:
         raise ValueError("index_set must contain at least one agent")
-    if require_closed:
-        missing = missing_closure_agent(system.graphs, agents)
-        if missing is not None:
-            raise ClosureError(
-                f"index set {agents} is not closed: agent {missing} reaches it "
-                "through the state/observation graph"
-            )
+    missing = missing_closure_agent(system.graphs, agents)
+    if missing is not None:
+        raise ClosureError(
+            f"index set {agents} is not closed: agent {missing} reaches it "
+            "through the state/observation graph"
+        )
     owners = tuple(sorted(set(int(a) for a in cost_owners)))
     xs = x_coords(agents, system.n_x)
     us = u_coords(agents, system.n_u)
@@ -516,12 +504,8 @@ class TrajectoryBatch:
 
     x: np.ndarray
     u: np.ndarray
-    n_agents: int
     n_x: int
     n_u: int
-    sigma_eta: float
-    seed: object
-    play_gain: np.ndarray
 
     @property
     def length(self) -> int:
@@ -620,16 +604,7 @@ def rollout(
     _times_transposed(etas, system.b, out=drive)  # B eta_t + w_t
     _simulate(system, gain, x, drive)
     u = _times_transposed(x[:t_length], gain, out=etas)  # K x_t + eta_t, over eta
-    return TrajectoryBatch(
-        x=_as_readonly(x),
-        u=_as_readonly(u),
-        n_agents=system.n_agents,
-        n_x=system.n_x,
-        n_u=system.n_u,
-        sigma_eta=float(sigma_eta),
-        seed=seed,
-        play_gain=play_policy.gain,
-    )
+    return TrajectoryBatch(x=_as_readonly(x), u=_as_readonly(u), n_x=system.n_x, n_u=system.n_u)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ prints one pass/fail line each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .linalg import (
     spectral_radius,
     svec,
 )
-from .lstdq import build_regression, lstdq_solve
+from .lstdq import LstdqOperator, build_regression
 from .system import (
     MultiAgentSystem,
     StructuredPolicy,
@@ -472,38 +472,57 @@ def check_value_decomposition(
     )
 
 
-def check_bellman_residual(seed: int = 0, n_systems: int = 5, n_points: int = 50) -> CheckResult:
-    rng = np.random.default_rng(seed + 999)
+def random_points(rng: np.random.Generator, system: MultiAgentSystem, n_points: int) -> Iterator:
+    """Standard normal global (x, u) pairs, each drawn when it is consumed."""
+    for _ in range(n_points):
+        yield rng.normal(size=system.nx_total), rng.normal(size=system.nu_total)
+
+
+def check_bellman_residual(cases: Optional[Iterable] = None, tol: float = 1e-9) -> CheckResult:
+    """Fixed-point residual of the exact team Q on (system, policy, points) cases.
+
+    ``cases`` defaults to five random closed loops with 50 points each.
+    """
+    if cases is None:
+        rng = np.random.default_rng(999)
+        cases = (
+            (system, policy, random_points(rng, system, 50))
+            for system, policy in (_random_closed_loop(trial) for trial in range(5))
+        )
     worst = 0.0
-    for trial in range(n_systems):
-        system, policy = _random_closed_loop(seed + trial)
+    for system, policy, points in cases:
         everyone = tuple(system.graphs.agents)
         sub = extract_subsystem(system, policy, everyone, cost_owners=everyone)
         q = true_q_matrix(sub)
         lam = bellman_offset(sub, q)
-        for _ in range(n_points):
-            x = rng.normal(size=sub.nx)
-            u = rng.normal(size=sub.nu)
+        for x, u in points:
             worst = max(worst, abs(bellman_residual(sub, q, lam, x, u)))
-    return CheckResult("fixed-point residual of the exact Q", worst < 1e-9, f"worst {worst:.2e}")
+    return CheckResult("fixed-point residual of the exact Q", worst < tol, f"worst {worst:.2e}")
 
 
-def check_noise_free_lstdq(seed: int = 0) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    graphs = generate_example1(4)
-    system = build_noise_free_variant(random_system(rng, graphs, 1, 1, sigma_w=1.0))
-    policy = random_stabilizing_policy(rng, system)
-    play = zero_policy(graphs, 1, 1)
-    deps = dependency_sets(graphs)
-    batch = rollout(system, play, 400, 1.0, rng.integers(2**32))
+def check_noise_free_lstdq(cases: Optional[Iterable] = None, tol: float = 1e-6) -> CheckResult:
+    """Exact LSTDQ recovery on every direct set of (system, eval policy, batch) cases.
+
+    The systems carry no process noise.  ``cases`` defaults to one
+    four-agent ring played by the zero policy.
+    """
+    if cases is None:
+        rng = np.random.default_rng(0)
+        graphs = generate_example1(4)
+        system = build_noise_free_variant(random_system(rng, graphs, 1, 1, sigma_w=1.0))
+        policy = random_stabilizing_policy(rng, system)
+        play = zero_policy(graphs, 1, 1)
+        cases = [(system, policy, rollout(system, play, 400, 1.0, rng.integers(2**32)))]
     worst = 0.0
-    for i in graphs.agents:
-        owners = deps.gradient[i]
-        bundle = build_regression(batch, deps.direct[i], policy, owners, system)
-        estimate = lstdq_solve(bundle)
-        sub = extract_subsystem(system, policy, deps.direct[i], cost_owners=owners)
-        worst = max(worst, float(np.max(np.abs(estimate.matrix - true_q_matrix(sub)))))
-    return CheckResult("noise-free LSTDQ exactness", worst < 1e-6, f"worst {worst:.2e}")
+    for system, policy, batch in cases:
+        deps = dependency_sets(system.graphs)
+        for i in system.graphs.agents:
+            owners = deps.gradient[i]
+            bundle = build_regression(batch, deps.direct[i], policy, owners, system)
+            estimate = smat(LstdqOperator(bundle).solve_cost(bundle.c_hat))
+            sub = extract_subsystem(system, policy, deps.direct[i], cost_owners=owners)
+            worst = max(worst, float(np.max(np.abs(estimate - true_q_matrix(sub)))))
+    return CheckResult("noise-free LSTDQ exactness", worst < tol, f"worst {worst:.2e}")
 
 
 def build_noise_free_variant(system: MultiAgentSystem) -> MultiAgentSystem:

@@ -18,24 +18,20 @@ from malspi.config import parse_config
 from malspi.examples import build_example_system, generate_example1
 from malspi.graphs import dependency_sets
 from malspi.linalg import svec
-from malspi.lstdq import build_regression, lstdq_solve
+from malspi.lstdq import LstdqOperator, build_regression
 from malspi.policy_iteration import Architecture, MalspiConfig, run_malspi
 from malspi.runner import run_experiment, timing_benchmark
-from malspi.system import (
-    bellman_offset,
-    bellman_residual,
-    extract_subsystem,
-    rollout,
-    true_q_matrix,
-    zero_policy,
-)
+from malspi.system import extract_subsystem, rollout, true_q_matrix, zero_policy
 from malspi.verify import (
     build_noise_free_variant,
+    check_bellman_residual,
     check_example_structure,
     check_gradient_decomposition,
     check_graph_suite,
+    check_noise_free_lstdq,
     check_value_decomposition,
     random_graphs,
+    random_points,
     random_stabilizing_policy,
     random_system,
 )
@@ -83,20 +79,17 @@ def test_criterion_2_gradient_decomposition():
 
 def test_criterion_3_fixed_point_residual():
     rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(20):
-        system, policy = _random_instance(rng, max_agents=6, max_dim=2)
-        everyone = tuple(system.graphs.agents)
-        sub = extract_subsystem(system, policy, everyone, cost_owners=everyone)
-        q = true_q_matrix(sub)
-        lam = bellman_offset(sub, q)
-        for _ in range(100):
-            x = rng.normal(size=sub.nx)
-            u = rng.normal(size=sub.nu)
-            worst = max(worst, abs(bellman_residual(sub, q, lam, x, u)))
-    ok = worst <= 1e-9
-    report(3, ok, f"worst residual {worst:.2e} over 20 systems x 100 points")
-    assert worst <= 1e-9
+
+    def cases():
+        # each instance's points are drawn from the shared rng before the next instance
+        for _ in range(20):
+            system, policy = _random_instance(rng, max_agents=6, max_dim=2)
+            yield system, policy, random_points(rng, system, 100)
+
+    result = check_bellman_residual(cases(), tol=1e-9)
+    worst = result.detail.removeprefix("worst ")
+    report(3, result.passed, f"worst residual {worst} over 20 systems x 100 points")
+    assert result.passed, result.detail
 
 
 def test_criterion_4_lstdq_exactness_and_rate():
@@ -106,18 +99,8 @@ def test_criterion_4_lstdq_exactness_and_rate():
     g4 = generate_example1(4)
     clean = build_noise_free_variant(random_system(rng, g4, 1, 1))
     eval_policy = random_stabilizing_policy(rng, clean)
-    play = zero_policy(g4, 1, 1)
-    deps4 = dependency_sets(g4)
-    batch = rollout(clean, play, 500, 1.0, seed=405)
-    worst_exact = 0.0
-    for i in g4.agents:
-        bundle = build_regression(batch, deps4.direct[i], eval_policy,
-                                  deps4.gradient[i], clean)
-        sub = extract_subsystem(clean, eval_policy, deps4.direct[i],
-                                cost_owners=deps4.gradient[i])
-        worst_exact = max(
-            worst_exact, float(np.abs(lstdq_solve(bundle).matrix - true_q_matrix(sub)).max())
-        )
+    batch = rollout(clean, zero_policy(g4, 1, 1), 500, 1.0, seed=405)
+    exact = check_noise_free_lstdq([(clean, eval_policy, batch)], tol=1e-6)
 
     # inverse-sqrt error rate with unit process and exploration noise
     g2 = generate_example1(2)
@@ -134,15 +117,16 @@ def test_criterion_4_lstdq_exactness_and_rate():
         errors = []
         for seed in range(20):
             roll = rollout(system, policy, t_len, 1.0, seed=10_000 + 31 * seed + t_len)
-            est = lstdq_solve(build_regression(roll, agent_set, policy, owners, system))
-            errors.append(float(np.linalg.norm(est.q - q_true)))
+            bundle = build_regression(roll, agent_set, policy, owners, system)
+            q = LstdqOperator(bundle).solve_cost(bundle.c_hat)
+            errors.append(float(np.linalg.norm(q - q_true)))
         medians.append(float(np.median(errors)))
     slope = float(np.polyfit(np.log(t_grid), np.log(medians), 1)[0])
     elapsed = time.perf_counter() - start
-    ok = worst_exact <= 1e-6 and abs(slope + 0.5) <= 0.15 and elapsed < 600.0
-    report(4, ok, f"noise-free error {worst_exact:.2e}, error-rate slope {slope:.3f} "
-                  f"(target -0.5 +/- 0.15) in {elapsed:.1f}s")
-    assert worst_exact <= 1e-6
+    ok = exact.passed and abs(slope + 0.5) <= 0.15 and elapsed < 600.0
+    report(4, ok, f"noise-free error {exact.detail.removeprefix('worst ')}, error-rate slope "
+                  f"{slope:.3f} (target -0.5 +/- 0.15) in {elapsed:.1f}s")
+    assert exact.passed, exact.detail
     assert abs(slope + 0.5) <= 0.15
     assert elapsed < 600.0
 

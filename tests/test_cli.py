@@ -4,13 +4,14 @@ import json
 import tracemalloc
 from collections import Counter
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from malspi import bounds as bounds_mod
 from malspi import cli, linalg
 from malspi.cli import main
-from malspi.config import ExperimentConfig, load_config
+from malspi.config import ExperimentConfig, load_config, parse_config
 from malspi.graphs import dependency_sets
 from malspi.system import build_system, extract_subsystem, zero_policy
 
@@ -264,11 +265,27 @@ def test_bench_subcommand_writes_table(config_file, tmp_path):
     assert "N=3" in result.output
 
 
+@pytest.mark.parametrize("option,value", [("--warmup", "-1"), ("--measured", "0")])
+def test_bench_rejects_bad_iteration_counts_before_running(config_file, tmp_path, option, value):
+    out = tmp_path / "bench_out"
+    result = CliRunner().invoke(
+        main, ["bench", str(config_file), "--n-agents", "3", option, value, "--output", str(out)]
+    )
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists()
+
+
 def test_bad_config_fails_loudly(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n_agents": 2, "mystery_key": 1}))
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code != 0
+
+
+def _explicit_graphs(**edges):
+    return {"n_agents": 2, "example": None,
+            "graphs": {"edges_s": [], "edges_o": [], "edges_c": [[1, 1], [2, 2]], **edges}}
 
 
 @pytest.mark.parametrize("command", [["run"], ["graphs"], ["bounds"], ["bench", "--n-agents", "3"]])
@@ -297,7 +314,32 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
         ({"n_agents": 2, "zeta": -1}, "zeta must be nonnegative, got -1.0"),
         ({"n_agents": 2, "n_iterations": -1}, "n_iterations must be nonnegative, got -1"),
         ({"n_agents": 2, "n_x": 0}, "n_x must be at least 1, got 0"),
-    ]:
+        (_explicit_graphs(edges_s=[["a", 1]]), "graphs.edges_s must be an integer, got 'a'"),
+        (_explicit_graphs(edges_o=[[1, 2, 3]]),
+         "graphs.edges_o: edge [1, 2, 3] is not a (from, to) pair"),
+        (_explicit_graphs(edges_c=5), "graphs.edges_c must be a list, got 5"),
+        (_explicit_graphs(edges_s=[[1, 5]]),
+         "graphs: edges_s: edge (1, 5) has an endpoint outside 1..2"),
+        ({"n_agents": 2, "n_x": 2, "dynamics": {"a_self": [[1, "x"], [0, 1]]}},
+         "dynamics.a_self must be a number, got 'x'"),
+        ({"n_agents": 2, "n_x": 2, "dynamics": {"a_self": [[1, True], [0, 1]]}},
+         "dynamics.a_self must be a number, got True"),
+        ({"n_agents": 2, "n_x": 2, "dynamics": {"a_self": [[1, 0]]}},
+         "dynamics.a_self must be 2x2, got rows of lengths [2]"),
+        ({"n_agents": 2, "n_x": 2, "n_u": 1, "dynamics": {"b_self": [[1, 0], [0, 1]]}},
+         "dynamics.b_self must be 2x1, got rows of lengths [2, 2]"),
+        ({"n_agents": 2, "seeds": 5}, "seeds must be a list, got 5"),
+        ({"n_agents": 2, "seeds": [-1]}, "seeds must be nonnegative, got -1"),
+        ({"n_agents": 2, "architectures": "direct"}, "architectures must be a list, got 'direct'"),
+        ({"n_agents": 1}, "n_agents: example 1 needs at least 2 agents, got 1"),
+        ({"n_agents": 1, "example": "example2"},
+         "n_agents: example 2 needs at least 2 agents, got 1"),
+    ] + ([] if command[0] == "graphs" else [
+        # only the commands that build the system need a valid cost
+        ({"n_agents": 2, "cost": {"s_diag": -5}},
+         "cost: s_diag -5.0 and s_off -10.0 leave the cost block of agent 1 not positive "
+         "semi-definite (cost neighborhood size 1, min eig -5)"),
+    ]):
         path.write_text(json.dumps(config))
         result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
         assert result.exit_code == 1
@@ -313,3 +355,26 @@ def test_repeated_seed_override_is_a_cli_error(config_file, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output == "Error: seeds lists [0] more than once\n"
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--seed", "-1"], "seeds must be nonnegative, got -1"),
+    (["--n-agents", "1"], "n_agents: example 2 needs at least 2 agents, got 1"),
+])
+def test_overrides_are_validated_like_the_config(config_file, tmp_path, options, message):
+    result = CliRunner().invoke(
+        main, ["run", str(config_file), *options, "--output", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {message}\n"
+
+
+def test_overrides_match_a_reparsed_document(config_file, tmp_path):
+    config = load_config(config_file)
+    data = {**config.to_json_dict(), "seeds": [7, 3], "architectures": ["direct"], "n_agents": 6}
+    assert cli._apply_overrides(config, (7, 3), ("direct",), 6) == parse_config(data)
+    explicit = parse_config({**data, "example": None, "graphs": {
+        "edges_s": [[1, 1]], "edges_o": [[1, 1]], "edges_c": [[1, 1]]}, "n_agents": 1})
+    with pytest.raises(click.ClickException, match="explicit graphs"):
+        cli._apply_overrides(explicit, (), (), 2)

@@ -7,8 +7,6 @@ import pytest
 from malspi.config import ConfigError, dump_config, load_config, parse_config
 from malspi.examples import build_cost_blocks, generate_example1, generate_example2
 from malspi.graphs import build_coupling_graphs, dependency_sets, value_dependency_edges
-from malspi.io import read_trajectory_csv, write_q_estimate_csv, write_trajectory_csv
-from malspi.lstdq import build_regression, lstdq_solve
 from malspi import runner
 from malspi.policy_iteration import Architecture
 from malspi.runner import (
@@ -21,7 +19,6 @@ from malspi.runner import (
     timing_benchmark,
     write_bench_csv,
 )
-from malspi.system import rollout, zero_policy
 
 
 RING_CROSS_EDGES = {(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6), (7, 8), (1, 8)}
@@ -300,33 +297,15 @@ def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
     assert read_bench_csv(path) == tuple(cells)
 
 
+@pytest.mark.parametrize("warmup,measured", [(-1, 1), (0, 0)])
+def test_timing_benchmark_rejects_bad_iteration_counts(warmup, measured):
+    with pytest.raises(ValueError, match="warmup >= 0 and measured >= 1"):
+        timing_benchmark(small_config(), [4], warmup=warmup, measured=measured)
+
+
 def test_timing_benchmark_auto_mode_keeps_regressions_determined():
     cfg = small_config(architectures=["centralized"], seeds=[0], t_rollout=10)
     cells = timing_benchmark(cfg, [4], warmup=0, measured=1, t_mode="auto")
     cell = cells[0]
     assert cell.t_rollout >= full_set_feature_dim(small_config()) + 50
     assert cell.n_measured == 1
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    cfg = small_config()
-    system = cfg.build_system()
-    batch = rollout(system, zero_policy(system.graphs, 1, 1), 12, 0.5, seed=5)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(batch, path)
-    xs, us = read_trajectory_csv(path)
-    np.testing.assert_array_equal(xs, batch.x)
-    np.testing.assert_array_equal(us, batch.u)
-
-
-def test_q_estimate_csv_contains_parameters_and_diagnostics(tmp_path):
-    cfg = small_config()
-    system = cfg.build_system()
-    policy = zero_policy(system.graphs, 1, 1)
-    batch = rollout(system, policy, 100, 1.0, seed=6)
-    estimate = lstdq_solve(build_regression(batch, (1,), policy, (1,), system))
-    path = tmp_path / "estimate.csv"
-    write_q_estimate_csv(estimate, path)
-    text = path.read_text()
-    assert "rcond" in text and "sigma_min" in text and "q,0," in text
-    assert "rdiag" not in text

@@ -10,13 +10,12 @@ import scipy.linalg
 from malspi import lstdq
 from malspi.graphs import build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1
-from malspi.linalg import svec, svec_dim
+from malspi.linalg import smat, svec, svec_dim
 from malspi.lstdq import (
     LstdqOperator,
     SingularOperatorError,
     UnderdeterminedError,
     build_regression,
-    lstdq_solve,
 )
 from malspi.system import (
     build_system,
@@ -40,6 +39,11 @@ def _svec_samples(z):
 def _regressor_rows(bundle):
     """The regressor rows Phi - Psi_plus + F the operator multiplies, whole."""
     return bundle.phi - _svec_samples(bundle.z_next) + bundle.f_row
+
+
+def _q_matrix(bundle):
+    """The estimated Q matrix for the bundle's aggregated cost."""
+    return smat(LstdqOperator(bundle).solve_cost(bundle.c_hat))
 
 
 def scalar_system(a=0.5, b=1.0, s=1.0, r=1.0, sigma_w=1.0):
@@ -91,8 +95,7 @@ def test_empty_cost_owner_set_gives_zero_solution():
     batch = rollout(system, policy, 50, 1.0, seed=2)
     bundle = build_regression(batch, (1,), policy, (), system)
     np.testing.assert_allclose(bundle.c_hat, 0.0)
-    estimate = lstdq_solve(bundle)
-    np.testing.assert_allclose(estimate.q, 0.0, atol=1e-12)
+    np.testing.assert_allclose(LstdqOperator(bundle).solve_cost(bundle.c_hat), 0.0, atol=1e-12)
 
 
 def test_aggregated_cost_matches_raw_recomputation():
@@ -100,14 +103,13 @@ def test_aggregated_cost_matches_raw_recomputation():
     system = build_example_system(g, n_x=2, n_u=1)
     policy = zero_policy(g, 2, 1)
     deps = dependency_sets(g)
-    batch = rollout(system, policy, 40, 1.0, seed=3)
-    owners = deps.gradient[1]
-    bundle = build_regression(batch, deps.direct[1], policy, owners, system,
-                              allow_underdetermined=True)
-    expected = np.zeros(40)
-    for t in range(40):
-        for j in owners:
-            expected[t] += system.agent_stage_cost(j, batch.x[t], batch.u[t])
+    agents, owners = deps.direct[1], deps.gradient[1]
+    t_length = svec_dim(3 * len(agents))
+    batch = rollout(system, policy, t_length, 1.0, seed=3)
+    bundle = build_regression(batch, agents, policy, owners, system)
+    sub = extract_subsystem(system, policy, agents, cost_owners=owners)
+    xs, us = batch.states(agents), batch.controls(agents)
+    expected = [sub.stage_cost(xs[t], us[t]) for t in range(t_length)]
     np.testing.assert_allclose(bundle.c_hat, expected, rtol=1e-12)
 
 
@@ -126,7 +128,7 @@ def test_singular_operator_raises_with_advice():
     batch = rollout(system, policy, 20, 0.0, seed=5, x0=np.zeros(1), sigma0=0.0)
     bundle = build_regression(batch, (1,), policy, (1,), system)
     with pytest.raises(SingularOperatorError, match="longer trajectory"):
-        lstdq_solve(bundle)
+        LstdqOperator(bundle)
 
 
 def test_nan_operator_raises_singular():
@@ -148,7 +150,7 @@ def test_rank_deficient_nonzero_operator_raises_singular():
     bundle = build_regression(batch, (1,), policy, (1,), system)
     assert np.any(bundle.phi != 0.0)
     with pytest.raises(SingularOperatorError, match="longer trajectory"):
-        lstdq_solve(bundle)
+        LstdqOperator(bundle)
 
 
 def test_nearly_dependent_columns_fail_the_condition_estimate():
@@ -177,7 +179,7 @@ def test_lu_solve_matches_least_squares_reference():
     bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
     op = LstdqOperator(bundle)
     operator = bundle.phi.T @ _regressor_rows(bundle)
-    assert op.diagnostics.rcond > 1e-6
+    assert op.rcond > 1e-6
     for cost in [bundle.c_hat, *bundle.owner_costs.T]:
         reference = scipy.linalg.lstsq(operator, bundle.phi.T @ cost)[0]
         np.testing.assert_allclose(op.solve_cost(cost), reference, rtol=1e-10, atol=0.0)
@@ -324,7 +326,7 @@ def test_operator_holds_one_regressor_block_not_the_rows():
     assert peak < limit, f"peak {peak / 2**20:.1f} MiB >= {limit / 2**20:.1f} MiB"
 
 
-def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
+def test_operator_keeps_the_condition_estimate():
     rng = np.random.default_rng(15)
     g = generate_example1(2)
     system = random_system(rng, g, 1, 1)
@@ -332,13 +334,9 @@ def test_diagnostics_carry_condition_estimate_and_exact_sigma_on_request():
     bundle = build_regression(rollout(system, policy, 500, 1.0, seed=16), (1, 2), policy,
                               (1, 2), system)
     operator = bundle.phi.T @ _regressor_rows(bundle)
-    diag = lstdq_solve(bundle).diagnostics
-    assert diag.threshold == 1e-10
-    assert diag.sigma_min == pytest.approx(scipy.linalg.svdvals(operator)[-1], rel=1e-8)
     # the Hager/Higham estimate bounds the true reciprocal 1-norm condition from above
     true_rcond = 1.0 / np.linalg.cond(operator, 1)
-    assert true_rcond * (1 - 1e-8) <= diag.rcond <= 10.0 * true_rcond
-    assert LstdqOperator(bundle).diagnostics.sigma_min is None
+    assert true_rcond * (1 - 1e-8) <= LstdqOperator(bundle).rcond <= 10.0 * true_rcond
 
 
 def test_noise_free_recovery_is_exact_scalar():
@@ -347,10 +345,8 @@ def test_noise_free_recovery_is_exact_scalar():
     play = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, play, 60, 1.0, seed=6)
     bundle = build_regression(batch, (1,), eval_policy, (1,), system)
-    estimate = lstdq_solve(bundle)
     sub = extract_subsystem(system, eval_policy, (1,), cost_owners=(1,))
-    np.testing.assert_allclose(estimate.matrix, true_q_matrix(sub), atol=1e-6)
-    assert estimate.diagnostics.sigma_min is not None
+    np.testing.assert_allclose(_q_matrix(bundle), true_q_matrix(sub), atol=1e-6)
 
 
 def test_noise_free_recovery_direct_and_per_owner_sets():
@@ -366,11 +362,11 @@ def test_noise_free_recovery_direct_and_per_owner_sets():
         bundle = build_regression(batch, deps.direct[i], eval_policy, deps.gradient[i], system)
         sub = extract_subsystem(system, eval_policy, deps.direct[i],
                                 cost_owners=deps.gradient[i])
-        np.testing.assert_allclose(lstdq_solve(bundle).matrix, true_q_matrix(sub), atol=1e-6)
+        np.testing.assert_allclose(_q_matrix(bundle), true_q_matrix(sub), atol=1e-6)
         # per-owner evaluation on the owner's value set
         own = build_regression(batch, deps.value[i], eval_policy, (i,), system)
         sub_own = extract_subsystem(system, eval_policy, deps.value[i], cost_owners=(i,))
-        np.testing.assert_allclose(lstdq_solve(own).matrix, true_q_matrix(sub_own), atol=1e-6)
+        np.testing.assert_allclose(_q_matrix(own), true_q_matrix(sub_own), atol=1e-6)
 
 
 def test_off_policy_consistency_noise_free():
@@ -381,8 +377,8 @@ def test_off_policy_consistency_noise_free():
     for k_play in (0.0, -0.6):
         play = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[k_play]]})
         batch = rollout(system, play, 80, 1.0, seed=9)
-        estimate = lstdq_solve(build_regression(batch, (1,), eval_policy, (1,), system))
-        np.testing.assert_allclose(estimate.matrix, q_true, atol=1e-6)
+        estimate = _q_matrix(build_regression(batch, (1,), eval_policy, (1,), system))
+        np.testing.assert_allclose(estimate, q_true, atol=1e-6)
 
 
 def test_longer_trajectories_reduce_error_on_paired_seeds():
@@ -395,8 +391,8 @@ def test_longer_trajectories_reduce_error_on_paired_seeds():
         errors = {}
         for k, t_len in enumerate((500, 8000)):
             batch = rollout(system, policy, t_len, 1.0, seed=1000 * seed + k)
-            est = lstdq_solve(build_regression(batch, (1,), policy, (1,), system))
-            errors[t_len] = np.linalg.norm(est.matrix - q_exact)
+            est = _q_matrix(build_regression(batch, (1,), policy, (1,), system))
+            errors[t_len] = np.linalg.norm(est - q_exact)
         if errors[8000] < errors[500]:
             improved += 1
     assert improved >= 18
@@ -425,13 +421,3 @@ def test_exact_parameter_empirical_residual_shrinks_like_inverse_sqrt():
     slope = np.polyfit(np.log(t_grid), np.log(means), 1)[0]
     assert -0.8 <= slope <= -0.25
 
-
-def test_projection_floors_eigenvalues():
-    system = scalar_system()
-    policy = zero_policy(system.graphs, 1, 1)
-    batch = rollout(system, policy, 200, 1.0, seed=10)
-    estimate = lstdq_solve(build_regression(batch, (1,), policy, (1,), system))
-    projected = estimate.project(1e-6)
-    assert projected.zeta == 1e-6
-    assert np.linalg.eigvalsh(projected.matrix).min() >= 1e-6 - 1e-12
-    np.testing.assert_allclose(projected.q, projected.project(1e-6).q, atol=1e-12)
