@@ -51,7 +51,6 @@ from .lstdq import (
     UnderdeterminedError,
     build_regression,
 )
-from .blas import blas_thread_counts, blas_threads
 from .policy_iteration import (
     AgentDiagnostics,
     AgentPlan,

@@ -35,7 +35,6 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .blas import blas_threads
 from .graphs import DependencySets, dependency_sets
 from .linalg import InstabilityError, psd_project, smat, spectral_radius, svec_dim
 from .lstdq import (
@@ -58,14 +57,6 @@ from .system import (
 )
 
 AgentSet = tuple[int, ...]
-
-# Threads of NumPy's and SciPy's OpenBLAS pools while ``run_malspi`` runs.
-# A second thread at most halves a decomposed set's small products, and each
-# of their many calls then waits for a worker that a shared machine may have
-# descheduled (median d=171, T=1226 GEMM 1.2-40 ms on 2 threads, 2.3-2.5 ms
-# on 1, 2-vCPU VM).  A fixed count also gives the same output bits whatever
-# the core count.
-_BLAS_THREADS = 1
 
 
 class Architecture(str, Enum):
@@ -284,18 +275,8 @@ def run_malspi(
     and factorization are released before the next set's are built, so the
     evaluation step holds at most one set's (T d + d^2 + T w) * 8 bytes:
     its features, its LU and one regressor block of w columns
-    (``LstdqOperator``), with d the largest set's feature dimension.  The
-    run holds NumPy's and SciPy's OpenBLAS pools at one thread.
+    (``LstdqOperator``), with d the largest set's feature dimension.
     """
-    with blas_threads(_BLAS_THREADS):
-        return _run_malspi(system, architecture, config)
-
-
-def _run_malspi(
-    system: MultiAgentSystem,
-    architecture: Architecture,
-    config: MalspiConfig,
-) -> list[IterationRecord]:
     graphs = system.graphs
     n = graphs.n_agents
     n_x, n_u = system.n_x, system.n_u

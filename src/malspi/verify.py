@@ -478,7 +478,7 @@ def random_points(rng: np.random.Generator, system: MultiAgentSystem, n_points: 
         yield rng.normal(size=system.nx_total), rng.normal(size=system.nu_total)
 
 
-def check_bellman_residual(cases: Optional[Iterable] = None, tol: float = 1e-9) -> CheckResult:
+def check_bellman_residual(cases: Optional[Iterable] = None) -> CheckResult:
     """Fixed-point residual of the exact team Q on (system, policy, points) cases.
 
     ``cases`` defaults to five random closed loops with 50 points each.
@@ -497,10 +497,10 @@ def check_bellman_residual(cases: Optional[Iterable] = None, tol: float = 1e-9) 
         lam = bellman_offset(sub, q)
         for x, u in points:
             worst = max(worst, abs(bellman_residual(sub, q, lam, x, u)))
-    return CheckResult("fixed-point residual of the exact Q", worst < tol, f"worst {worst:.2e}")
+    return CheckResult("fixed-point residual of the exact Q", worst < 1e-9, f"worst {worst:.2e}")
 
 
-def check_noise_free_lstdq(cases: Optional[Iterable] = None, tol: float = 1e-6) -> CheckResult:
+def check_noise_free_lstdq(cases: Optional[Iterable] = None) -> CheckResult:
     """Exact LSTDQ recovery on every direct set of (system, eval policy, batch) cases.
 
     The systems carry no process noise.  ``cases`` defaults to one
@@ -522,7 +522,7 @@ def check_noise_free_lstdq(cases: Optional[Iterable] = None, tol: float = 1e-6) 
             estimate = smat(LstdqOperator(bundle).solve_cost(bundle.c_hat))
             sub = extract_subsystem(system, policy, deps.direct[i], cost_owners=owners)
             worst = max(worst, float(np.max(np.abs(estimate - true_q_matrix(sub)))))
-    return CheckResult("noise-free LSTDQ exactness", worst < tol, f"worst {worst:.2e}")
+    return CheckResult("noise-free LSTDQ exactness", worst < 1e-6, f"worst {worst:.2e}")
 
 
 def build_noise_free_variant(system: MultiAgentSystem) -> MultiAgentSystem:

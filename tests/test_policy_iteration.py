@@ -7,7 +7,6 @@ import pytest
 
 from malspi import lstdq, policy_iteration
 from malspi import system as system_mod
-from malspi.blas import blas_thread_counts, blas_threads
 from malspi.graphs import build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1
 from malspi.linalg import InstabilityError, psd_project
@@ -387,22 +386,3 @@ def test_one_estimation_set_alive_at_a_time(monkeypatch, arch, sigma_eta):
     else:
         assert flags == {()} and len(factorized) == len(built)
     assert len(built) >= cfg.n_iterations
-
-
-def test_run_holds_the_blas_pools_at_one_thread(monkeypatch):
-    g = generate_example1(3)
-    system = build_example_system(g, n_x=1, n_u=1)
-    cfg = MalspiConfig(n_iterations=2, t_rollout=100, t_eval=30, alpha=1e-4, seed=3)
-    seen = []
-    real_build = policy_iteration.build_regression
-
-    def recording_build(*args, **kwargs):
-        seen.append(set(blas_thread_counts().values()))
-        return real_build(*args, **kwargs)
-
-    monkeypatch.setattr(policy_iteration, "build_regression", recording_build)
-    with blas_threads(2):
-        before = blas_thread_counts()
-        run_malspi(system, Architecture.INDIRECT, cfg)
-        assert blas_thread_counts() == before
-    assert seen and all(counts <= {1} for counts in seen)
