@@ -77,20 +77,18 @@ from .examples import (
     generate_example1,
     generate_example2,
 )
-from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .runner import (
     BenchCell,
     CurveRow,
     ResultTable,
     TimingRow,
-    read_bench_csv,
     read_curves_csv,
+    read_table,
     read_timing_csv,
     run_experiment,
     timing_benchmark,
-    write_bench_csv,
-    write_curves_csv,
-    write_timing_csv,
+    write_table,
 )
 
 __version__ = "0.1.0"

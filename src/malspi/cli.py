@@ -27,7 +27,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .config import parse_config  # noqa: F401  unused; a perfbench span rebinds this name
 from .graphs import CouplingGraphs, dependency_sets, graphical_conditions
 from .policy_iteration import ARCHITECTURE_NAMES
-from .runner import run_experiment, timing_benchmark, write_bench_csv
+from .linalg import InstabilityError
+from .runner import BenchCell, run_experiment, timing_benchmark, write_table
 from .system import extract_subsystem, zero_policy
 from .verify import run_all_checks
 
@@ -68,12 +69,12 @@ def _selected_agents(graphs: CouplingGraphs, agent: int | None) -> list[int]:
 
 
 class _Main(click.Group):
-    """Command group that reports a bad configuration as a one-line error."""
+    """Command group that reports a bad configuration or an unstable plant as a one-line error."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ConfigError as exc:
+        except (ConfigError, InstabilityError) as exc:
             raise click.ClickException(str(exc)) from None
 
 
@@ -115,6 +116,7 @@ _arch_opt = click.option(
     help="Override config architectures.",
 )
 _n_opt = click.option("--n-agents", type=int, default=None, help="Override agent count.")
+_positive = click.FloatRange(min=0, min_open=True)
 
 
 @main.command()
@@ -166,13 +168,18 @@ def graphs_cmd(config_path: str, agent: int | None, n_agents) -> None:
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--agent", type=int, default=None, help="Restrict the report to one agent.")
-@click.option("--epsilon", type=float, default=None, help="Target accuracy for sample counts.")
-@click.option("--o-tilde", type=float, default=1.0, show_default=True,
+@click.option("--epsilon", type=_positive, default=None, help="Target accuracy for sample counts.")
+@click.option("--o-tilde", type=_positive, default=1.0, show_default=True,
               help="Multiplier standing in for the unidentified absolute constant.")
 @_n_opt
 def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: float, n_agents) -> None:
     """Print the direct/indirect sample-complexity calculators as JSON."""
     config = _apply_overrides(load_config(config_path), (), (), n_agents)
+    if not 0 < config.sigma_eta <= config.sigma_w:
+        raise ConfigError(
+            f"bounds needs 0 < sigma_eta <= sigma_w, got sigma_eta {config.sigma_eta!r} "
+            f"and sigma_w {config.sigma_w!r}"
+        )
     system = config.build_system()
     graphs = system.graphs
     agents = _selected_agents(graphs, agent)
@@ -258,7 +265,7 @@ def bench(config_path: str, n_list, archs, warmup: int, measured: int, t_mode: s
     )
     out_dir = _resolve_output(config, output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_bench_csv(out_dir / "bench.csv", cells)
+    write_table(out_dir / "bench.csv", BenchCell, cells)
     for cell in cells:
         if cell.skipped:
             _echo(f"  {cell.architecture:>20} N={cell.n_agents}: NA (skipped)")

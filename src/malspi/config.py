@@ -5,8 +5,7 @@ example or explicit edge lists), team-wide dynamics overrides (one
 ``a_self``/``b_self`` block shared by every agent, and the coupling
 scales), cost parameters, noise levels, learning knobs, the architectures
 to run, and the seed list.  Unknown keys are rejected at every level so
-typos in sweep definitions fail loudly.  Parsing and serialization
-round-trip to a canonical form.
+typos in sweep definitions fail loudly.
 """
 from __future__ import annotations
 
@@ -72,6 +71,13 @@ def _block(key: str, value: Any) -> Optional[tuple[tuple[float, ...], ...]]:
     return tuple(tuple(_cast(key, float, v) for v in _list(key, row)) for row in _list(key, value))
 
 
+def _text(key: str, value: Any) -> Optional[str]:
+    """A JSON string or null, or a ConfigError naming ``key``."""
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string or null, got {value!r}")
+    return value
+
+
 def _flag(key: str, value: Any) -> bool:
     """A JSON boolean, or a ConfigError naming ``key``."""
     if not isinstance(value, bool):
@@ -102,14 +108,6 @@ class DynamicsConfig:
             ),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a_self": None if self.a_self is None else [list(r) for r in self.a_self],
-            "b_self": None if self.b_self is None else [list(r) for r in self.b_self],
-            "coupling_scale": self.coupling_scale,
-            "b_coupling_scale": self.b_coupling_scale,
-        }
-
 
 @dataclass(frozen=True)
 class CostConfig:
@@ -123,9 +121,6 @@ class CostConfig:
             s_diag=_cast("cost.s_diag", float, _get(data, "s_diag", 200.0)),
             s_off=_cast("cost.s_off", float, _get(data, "s_off", -10.0)),
         )
-
-    def to_json_dict(self) -> dict:
-        return {"s_diag": self.s_diag, "s_off": self.s_off}
 
 
 @dataclass(frozen=True)
@@ -148,13 +143,6 @@ class GraphConfig:
                 pairs.append((_cast(name, int, edge[0]), _cast(name, int, edge[1])))
             return tuple(sorted(pairs))
         return cls(edges("edges_s"), edges("edges_o"), edges("edges_c"))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "edges_s": [list(e) for e in self.edges_s],
-            "edges_o": [list(e) for e in self.edges_o],
-            "edges_c": [list(e) for e in self.edges_c],
-        }
 
 
 _TOP_LEVEL_KEYS = [
@@ -305,30 +293,6 @@ class ExperimentConfig:
             oracle_diagnostics=self.oracle_diagnostics,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_agents": self.n_agents,
-            "example": self.example,
-            "graphs": None if self.graphs is None else self.graphs.to_json_dict(),
-            "n_x": self.n_x,
-            "n_u": self.n_u,
-            "dynamics": self.dynamics.to_json_dict(),
-            "cost": self.cost.to_json_dict(),
-            "sigma_w": self.sigma_w,
-            "sigma_eta": self.sigma_eta,
-            "t_rollout": self.t_rollout,
-            "t_eval": self.t_eval,
-            "n_iterations": self.n_iterations,
-            "alpha": self.alpha,
-            "zeta": self.zeta,
-            "sigma0": self.sigma0,
-            "architectures": list(self.architectures),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "force_full_sets": self.force_full_sets,
-            "oracle_diagnostics": self.oracle_diagnostics,
-        }
-
 
 def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
     """Parse and validate a configuration mapping; unknown keys are errors."""
@@ -361,7 +325,7 @@ def parse_config(data: Mapping[str, Any]) -> ExperimentConfig:
             str(a) for a in _list("architectures", _get(data, "architectures", ExperimentConfig.architectures))
         ),
         seeds=tuple(_cast("seeds", int, s) for s in _list("seeds", _get(data, "seeds", [0]))),
-        output_dir=data.get("output_dir"),
+        output_dir=_text("output_dir", data.get("output_dir")),
         force_full_sets=_flag("force_full_sets", _get(data, "force_full_sets", False)),
         oracle_diagnostics=_flag("oracle_diagnostics", _get(data, "oracle_diagnostics", False)),
     )
@@ -375,10 +339,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return parse_config(data)
-
-
-def dump_config(config: ExperimentConfig, path: str | Path) -> None:
-    """Write the canonical JSON form of a configuration."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_json_dict(), fh, indent=2, sort_keys=False)
-        fh.write("\n")

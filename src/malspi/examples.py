@@ -27,7 +27,7 @@ n_u differs from n_x.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -116,33 +116,22 @@ def build_example_system(
     s_diag: float = 200.0,
     s_off: float = -10.0,
     sigma_w: float = 1.0,
-    a_blocks_override: Optional[Mapping[tuple[int, int], np.ndarray]] = None,
-    b_blocks_override: Optional[Mapping[tuple[int, int], np.ndarray]] = None,
 ) -> MultiAgentSystem:
     """Assemble a system on the given graphs from per-agent defaults.
 
     Self blocks default to the marginally stable chain with an identity
     input map; cross blocks within the state graph default to
     ``coupling_scale`` (state) and ``b_coupling_scale`` (control) times the
-    identity.  Explicit block overrides replace the generated maps wholesale.
+    identity.
     """
     a_self = default_state_block(n_x) if a_self is None else np.asarray(a_self, dtype=float)
     b_self = np.eye(n_x, n_u) if b_self is None else np.asarray(b_self, dtype=float)
 
-    if a_blocks_override is not None:
-        a_blocks: Mapping[tuple[int, int], np.ndarray] = a_blocks_override
-    else:
-        a_blocks = {}
-        for i in graphs.agents:
-            for j in graphs.state_in_neighbors(i):
-                a_blocks[(i, j)] = a_self if i == j else coupling_scale * np.eye(n_x)
-    if b_blocks_override is not None:
-        b_blocks: Mapping[tuple[int, int], np.ndarray] = b_blocks_override
-    else:
-        b_blocks = {}
-        for i in graphs.agents:
-            for j in graphs.state_in_neighbors(i):
-                b_blocks[(i, j)] = b_self if i == j else b_coupling_scale * np.eye(n_x, n_u)
+    a_blocks, b_blocks = {}, {}
+    for i in graphs.agents:
+        for j in graphs.state_in_neighbors(i):
+            a_blocks[(i, j)] = a_self if i == j else coupling_scale * np.eye(n_x)
+            b_blocks[(i, j)] = b_self if i == j else b_coupling_scale * np.eye(n_x, n_u)
 
     s_blocks, r_blocks = build_cost_blocks(graphs, n_x, n_u, s_diag=s_diag, s_off=s_off)
     return build_system(graphs, n_x, n_u, a_blocks, b_blocks, s_blocks, r_blocks, sigma_w)

@@ -2,7 +2,8 @@
 
 Every emitted CSV is re-ingestable: floats are written with ``repr`` so a
 read-write cycle reproduces the values exactly, missing values are empty
-fields, and infinities round-trip through ``float("inf")``.
+fields, booleans are ``0`` and ``1``, and infinities round-trip through
+``float("inf")``.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from typing import Iterable, Sequence
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return repr(float(value))
     return str(value)

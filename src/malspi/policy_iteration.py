@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .graphs import DependencySets, dependency_sets
-from .linalg import InstabilityError, psd_project, smat, spectral_radius, svec_dim
+from .linalg import InstabilityError, psd_project, smat, spectral_radius
 from .lstdq import (
     LstdqOperator,
     SingularOperatorError,
@@ -177,7 +177,6 @@ class MalspiConfig:
     alpha: float = 1e-3
     zeta: float = 1e-6
     seed: int = 0
-    x0: Optional[np.ndarray] = None
     sigma0: float = 1.0
     k0: Optional[StructuredPolicy] = None
     force_full_sets: bool = False
@@ -194,8 +193,6 @@ class AgentDiagnostics:
     """
 
     agent: int
-    set_size: int
-    feature_dim: int
     rcond: Optional[float]
     flags: tuple[str, ...]
     q_error: Optional[float]
@@ -298,7 +295,7 @@ def run_malspi(
     records: list[IterationRecord] = []
 
     cost0 = average_cost(
-        system, policy, config.t_eval, seed_children[0], x0=config.x0, sigma0=config.sigma0
+        system, policy, config.t_eval, seed_children[0], sigma0=config.sigma0
     )
     records.append(
         IterationRecord(
@@ -319,7 +316,6 @@ def run_malspi(
             config.t_rollout,
             config.sigma_eta,
             seed_children[2 * it - 1],
-            x0=config.x0,
             sigma0=config.sigma0,
         )
 
@@ -361,8 +357,6 @@ def run_malspi(
             diags.append(
                 AgentDiagnostics(
                     agent=i,
-                    set_size=len(plan.own_set),
-                    feature_dim=svec_dim((n_x + n_u) * len(plan.own_set)),
                     rcond=set_rcond.get(plan.own_set) if plan.terms else None,
                     flags=flags,
                     q_error=q_error,
@@ -372,7 +366,7 @@ def run_malspi(
         wall_update = time.perf_counter() - t1
 
         cost = average_cost(
-            system, policy, config.t_eval, seed_children[2 * it], x0=config.x0, sigma0=config.sigma0
+            system, policy, config.t_eval, seed_children[2 * it], sigma0=config.sigma0
         )
         records.append(
             IterationRecord(

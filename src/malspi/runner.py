@@ -6,14 +6,19 @@ writes one per-agent CSV per run under seed-scoped directories, and returns
 measures mean and median per-iteration wall time across agent counts, with
 a warm-up iteration excluded and oversized architectures skipped as
 explicit NA rows.
+
+A table of ``CurveRow``, ``TimingRow`` or ``BenchCell`` rows is written by
+``write_table`` and read back by ``read_table``: the row dataclass's field
+names are the CSV header and its annotations say how each field is parsed.
 """
 from __future__ import annotations
 
 import logging
 import statistics
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from .config import ExperimentConfig
 from .io import read_rows_csv, write_rows_csv
@@ -25,15 +30,6 @@ logger = logging.getLogger(__name__)
 # flags of an agent update whose gain was carried forward unchanged
 _FROZEN_FLAGS = ("singular", "underdetermined")
 
-CURVE_HEADER = ["architecture", "seed", "iteration", "eval_cost", "diverged"]
-TIMING_HEADER = [
-    "architecture",
-    "n_agents",
-    "mean_iteration_s",
-    "median_iteration_s",
-    "n_measured",
-    "ratio_vs_indirect",
-]
 AGENT_HEADER = [
     "iteration",
     "agent",
@@ -62,7 +58,7 @@ class TimingRow:
     mean_iteration_s: Optional[float]
     median_iteration_s: Optional[float]
     n_measured: int
-    ratio_vs_indirect: Optional[float]
+    ratio_vs_indirect: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,69 @@ class ResultTable:
         return sum(values) / len(values)
 
 
+Row = TypeVar("Row")
+
+
+def write_table(path: str | Path, row_type: type, rows: Iterable) -> None:
+    """Write dataclass rows under a header of ``row_type``'s field names."""
+    names = [f.name for f in fields(row_type)]
+    write_rows_csv(path, names, ([getattr(row, name) for name in names] for row in rows))
+
+
+def _parser(annotation) -> Callable[[str], Any]:
+    """Parse one field's text: ``""`` is None for an Optional field, a bool is 0 or 1."""
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        parse = _parser(next(a for a in args if a is not type(None)))
+        return lambda text: None if text == "" else parse(text)
+    if annotation is bool:
+        return lambda text: bool(int(text))
+    return annotation
+
+
+def read_table(path: str | Path, row_type: type[Row]) -> tuple[Row, ...]:
+    """The rows ``write_table`` wrote; a header other than the field names is a ValueError."""
+    header, rows = read_rows_csv(path)
+    names = [f.name for f in fields(row_type)]
+    if header != names:
+        raise ValueError(f"{path}: expected the {row_type.__name__} header {names}, got {header}")
+    hints = typing.get_type_hints(row_type)
+    parsers = [_parser(hints[name]) for name in names]
+    return tuple(row_type(*(parse(text) for parse, text in zip(parsers, row))) for row in rows)
+
+
+def read_curves_csv(path: str | Path) -> tuple[CurveRow, ...]:
+    return read_table(path, CurveRow)
+
+
+def read_timing_csv(path: str | Path) -> tuple[TimingRow, ...]:
+    return read_table(path, TimingRow)
+
+
 def _iteration_seconds(records: Sequence[IterationRecord]) -> list[float]:
     return [r.wall_eval_s + r.wall_update_s for r in records if r.iteration > 0]
+
+
+def _mean_median(seconds: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
+    if not seconds:
+        return None, None
+    return statistics.fmean(seconds), statistics.median(seconds)
+
+
+def _with_ratios(rows: Sequence[Row]) -> list[Row]:
+    """The rows with ``ratio_vs_indirect`` set to each mean over the ``indirect`` row's mean.
+
+    The ratio is None where either mean is missing or the indirect mean is 0.
+    """
+    base = next(
+        (r.mean_iteration_s for r in rows if r.architecture == Architecture.INDIRECT.value), None
+    )
+    return [
+        replace(r, ratio_vs_indirect=(
+            r.mean_iteration_s / base if base and r.mean_iteration_s is not None else None
+        ))
+        for r in rows
+    ]
 
 
 def _agent_rows(records: Sequence[IterationRecord]):
@@ -130,11 +187,11 @@ def run_experiment(
         out_dir.mkdir(parents=True, exist_ok=True)
 
     curves: list[CurveRow] = []
-    seconds_by_arch: dict[str, list[float]] = {}
+    timing: list[TimingRow] = []
     runs: dict[tuple[Architecture, int], list[IterationRecord]] = {}
     for arch_name in config.architectures:
         architecture = Architecture.parse(arch_name)
-        seconds_by_arch[arch_name] = []
+        seconds: list[float] = []
         for seed in config.seeds:
             if (architecture, seed) not in runs:
                 logger.info("running %s seed %d", arch_name, seed)
@@ -142,118 +199,22 @@ def run_experiment(
                     system, architecture, config.malspi_config(seed)
                 )
             records = runs[architecture, seed]
-            seconds_by_arch[arch_name].extend(_iteration_seconds(records))
-            for record in records:
-                curves.append(
-                    CurveRow(
-                        architecture=arch_name,
-                        seed=seed,
-                        iteration=record.iteration,
-                        eval_cost=record.eval_cost,
-                        diverged=record.eval_diverged,
-                    )
-                )
+            seconds.extend(_iteration_seconds(records))
+            curves.extend(
+                CurveRow(arch_name, seed, r.iteration, r.eval_cost, r.eval_diverged)
+                for r in records
+            )
             if out_dir is not None:
                 run_dir = out_dir / arch_name / f"seed_{seed}"
                 run_dir.mkdir(parents=True, exist_ok=True)
                 write_rows_csv(run_dir / "agents.csv", AGENT_HEADER, _agent_rows(records))
+        timing.append(TimingRow(arch_name, config.n_agents, *_mean_median(seconds), len(seconds)))
 
-    timing = _timing_rows(config.n_agents, seconds_by_arch)
-    table = ResultTable(curves=tuple(curves), timing=tuple(timing))
+    table = ResultTable(curves=tuple(curves), timing=tuple(_with_ratios(timing)))
     if out_dir is not None:
-        write_curves_csv(out_dir / "curves.csv", table.curves)
-        write_timing_csv(out_dir / "timing.csv", table.timing)
+        write_table(out_dir / "curves.csv", CurveRow, table.curves)
+        write_table(out_dir / "timing.csv", TimingRow, table.timing)
     return table
-
-
-def _timing_rows(
-    n_agents: int, seconds_by_arch: dict[str, list[float]]
-) -> list[TimingRow]:
-    means = {
-        arch: (statistics.fmean(vals) if vals else None)
-        for arch, vals in seconds_by_arch.items()
-    }
-    base = means.get(Architecture.INDIRECT.value)
-    rows = []
-    for arch, vals in seconds_by_arch.items():
-        mean = means[arch]
-        rows.append(
-            TimingRow(
-                architecture=arch,
-                n_agents=n_agents,
-                mean_iteration_s=mean,
-                median_iteration_s=statistics.median(vals) if vals else None,
-                n_measured=len(vals),
-                ratio_vs_indirect=(
-                    mean / base if (mean is not None and base is not None and base > 0) else None
-                ),
-            )
-        )
-    return rows
-
-
-def write_curves_csv(path: str | Path, curves: Sequence[CurveRow]) -> None:
-    write_rows_csv(
-        path,
-        CURVE_HEADER,
-        (
-            [r.architecture, r.seed, r.iteration, r.eval_cost, int(r.diverged)]
-            for r in curves
-        ),
-    )
-
-
-def read_curves_csv(path: str | Path) -> tuple[CurveRow, ...]:
-    header, rows = read_rows_csv(path)
-    if header != CURVE_HEADER:
-        raise ValueError(f"unexpected curve header {header}")
-    return tuple(
-        CurveRow(
-            architecture=row[0],
-            seed=int(row[1]),
-            iteration=int(row[2]),
-            eval_cost=float(row[3]),
-            diverged=bool(int(row[4])),
-        )
-        for row in rows
-    )
-
-
-def write_timing_csv(path: str | Path, timing: Sequence[TimingRow]) -> None:
-    write_rows_csv(
-        path,
-        TIMING_HEADER,
-        (
-            [
-                r.architecture,
-                r.n_agents,
-                r.mean_iteration_s,
-                r.median_iteration_s,
-                r.n_measured,
-                r.ratio_vs_indirect,
-            ]
-            for r in timing
-        ),
-    )
-
-
-def read_timing_csv(path: str | Path) -> tuple[TimingRow, ...]:
-    header, rows = read_rows_csv(path)
-    if header != TIMING_HEADER:
-        raise ValueError(f"unexpected timing header {header}")
-    out = []
-    for row in rows:
-        out.append(
-            TimingRow(
-                architecture=row[0],
-                n_agents=int(row[1]),
-                mean_iteration_s=None if row[2] == "" else float(row[2]),
-                median_iteration_s=None if row[3] == "" else float(row[3]),
-                n_measured=int(row[4]),
-                ratio_vs_indirect=None if row[5] == "" else float(row[5]),
-            )
-        )
-    return tuple(out)
 
 
 def full_set_feature_dim(config: ExperimentConfig) -> int:
@@ -301,7 +262,8 @@ def timing_benchmark(
     raised to keep every requested regression determined (feature dimension
     plus margin), applied uniformly to all architectures at that agent
     count so the comparison is ratio-fair; ``"fixed"`` keeps the config's
-    rollout length everywhere.
+    rollout length everywhere.  Names that parse to the same architecture
+    share one run per N, reported under each name.
     """
     if t_mode not in ("fixed", "auto"):
         raise ValueError(f"t_mode must be 'fixed' or 'auto', got {t_mode!r}")
@@ -322,6 +284,8 @@ def timing_benchmark(
         if t_mode == "auto" and any(a in full_dim_archs for a in active):
             t_run = max(t_run, full_set_feature_dim(cfg_n) + 50)
         system = cfg_n.build_system()
+        mcfg = replace(cfg_n.malspi_config(cfg_n.seeds[0]), t_rollout=int(t_run))
+        runs: dict[Architecture, list[IterationRecord]] = {}
         row_cells: list[BenchCell] = []
         for arch_name in archs:
             if arch_name not in active:
@@ -329,18 +293,18 @@ def timing_benchmark(
                     BenchCell(arch_name, int(n), None, None, None, 0, skipped=True)
                 )
                 continue
-            logger.info("benchmark %s at N=%d (T=%d)", arch_name, n, t_run)
-            mcfg = replace(cfg_n.malspi_config(cfg_n.seeds[0]), t_rollout=int(t_run))
-            records = run_malspi(system, parsed[arch_name], mcfg)
-            measured_records = [r for r in records if r.iteration > 0][warmup:]
+            architecture = parsed[arch_name]
+            if architecture not in runs:
+                logger.info("benchmark %s at N=%d (T=%d)", arch_name, n, t_run)
+                runs[architecture] = run_malspi(system, architecture, mcfg)
+            measured_records = [r for r in runs[architecture] if r.iteration > 0][warmup:]
             secs = _iteration_seconds(measured_records)
             row_cells.append(
                 BenchCell(
-                    architecture=arch_name,
-                    n_agents=int(n),
-                    t_rollout=t_run,
-                    mean_iteration_s=statistics.fmean(secs) if secs else None,
-                    median_iteration_s=statistics.median(secs) if secs else None,
+                    arch_name,
+                    int(n),
+                    t_run,
+                    *_mean_median(secs),
                     n_measured=len(secs),
                     skipped=False,
                     frozen_updates=sum(
@@ -351,73 +315,5 @@ def timing_benchmark(
                     diverged_evals=sum(r.eval_diverged for r in measured_records),
                 )
             )
-        base = next(
-            (c.mean_iteration_s for c in row_cells
-             if c.architecture == Architecture.INDIRECT.value and c.mean_iteration_s),
-            None,
-        )
-        if base:
-            row_cells = [
-                replace(c, ratio_vs_indirect=(None if c.mean_iteration_s is None
-                                              else c.mean_iteration_s / base))
-                for c in row_cells
-            ]
-        cells.extend(row_cells)
+        cells.extend(_with_ratios(row_cells))
     return cells
-
-
-BENCH_HEADER = [
-    "architecture",
-    "n_agents",
-    "t_rollout",
-    "mean_iteration_s",
-    "median_iteration_s",
-    "n_measured",
-    "skipped",
-    "ratio_vs_indirect",
-    "frozen_updates",
-    "diverged_evals",
-]
-
-
-def write_bench_csv(path: str | Path, cells: Sequence[BenchCell]) -> None:
-    write_rows_csv(
-        path,
-        BENCH_HEADER,
-        (
-            [
-                c.architecture,
-                c.n_agents,
-                c.t_rollout,
-                c.mean_iteration_s,
-                c.median_iteration_s,
-                c.n_measured,
-                int(c.skipped),
-                c.ratio_vs_indirect,
-                c.frozen_updates,
-                c.diverged_evals,
-            ]
-            for c in cells
-        ),
-    )
-
-
-def read_bench_csv(path: str | Path) -> tuple[BenchCell, ...]:
-    header, rows = read_rows_csv(path)
-    if header != BENCH_HEADER:
-        raise ValueError(f"unexpected benchmark header {header}")
-    return tuple(
-        BenchCell(
-            architecture=row[0],
-            n_agents=int(row[1]),
-            t_rollout=None if row[2] == "" else int(row[2]),
-            mean_iteration_s=None if row[3] == "" else float(row[3]),
-            median_iteration_s=None if row[4] == "" else float(row[4]),
-            n_measured=int(row[5]),
-            skipped=bool(int(row[6])),
-            ratio_vs_indirect=None if row[7] == "" else float(row[7]),
-            frozen_updates=int(row[8]),
-            diverged_evals=int(row[9]),
-        )
-        for row in rows
-    )

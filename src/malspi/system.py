@@ -521,24 +521,15 @@ class TrajectoryBatch:
 
 
 def _initial_state(
-    rng: np.random.Generator, dim: int, x0: Optional[np.ndarray], sigma0
+    rng: np.random.Generator, dim: int, x0: Optional[np.ndarray], sigma0: float
 ) -> np.ndarray:
     mean = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
     if mean.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},), got {mean.shape}")
     z = rng.standard_normal(dim)
-    if sigma0 is None:
-        return mean + z
-    sig = np.asarray(sigma0, dtype=float)
-    if sig.ndim == 0:
-        if not sig >= 0:
-            raise ValueError("initial covariance scale must be nonnegative")
-        return mean + math.sqrt(float(sig)) * z
-    if sig.ndim == 1:
-        return mean + np.sqrt(sig) * z
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (sig + sig.T))
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    return mean + root @ z
+    if not sigma0 >= 0:
+        raise ValueError("initial covariance scale must be nonnegative")
+    return mean + math.sqrt(sigma0) * z
 
 
 def _times_transposed(
@@ -580,12 +571,11 @@ def rollout(
     seed,
     *,
     x0: Optional[np.ndarray] = None,
-    sigma0=1.0,
+    sigma0: float = 1.0,
 ) -> TrajectoryBatch:
     """Simulate T steps of u = K_play x + eta with process noise; seeded.
 
-    The initial state is drawn from N(x0, sigma0) (scalar sigma0 scales the
-    identity; a vector gives a diagonal covariance).  Fully deterministic
+    The initial state is drawn from N(x0, sigma0 I).  Fully deterministic
     given the seed.
     """
     if t_length < 1:
@@ -625,7 +615,7 @@ def average_cost(
     seed,
     *,
     x0: Optional[np.ndarray] = None,
-    sigma0=1.0,
+    sigma0: float = 1.0,
 ) -> CostEvaluation:
     """Average of the global stage cost over a T-step closed-loop rollout.
 

@@ -288,6 +288,14 @@ def _explicit_graphs(**edges):
             "graphs": {"edges_s": [], "edges_o": [], "edges_c": [[1, 1], [2, 2]], **edges}}
 
 
+# The one-line error for an unstable plant, per command; bench runs it at 3 agents.
+UNSTABLE = {
+    "run": "initial policy does not stabilize the system (spectral radius 1.5)",
+    "bench": "initial policy does not stabilize the system (spectral radius 1.51)",
+    "bounds": "Lyapunov equation has no bounded solution (spectral radius 1.5)",
+}
+
+
 @pytest.mark.parametrize("command", [["run"], ["graphs"], ["bounds"], ["bench", "--n-agents", "3"]])
 def test_config_error_is_a_one_line_cli_error(tmp_path, command):
     path = tmp_path / "bad.json"
@@ -334,11 +342,18 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
         ({"n_agents": 1}, "n_agents: example 1 needs at least 2 agents, got 1"),
         ({"n_agents": 1, "example": "example2"},
          "n_agents: example 2 needs at least 2 agents, got 1"),
+        ({"n_agents": 2, "output_dir": 5}, "output_dir must be a string or null, got 5"),
     ] + ([] if command[0] == "graphs" else [
-        # only the commands that build the system need a valid cost
+        # only the commands that build the system need a valid cost and a stable plant
         ({"n_agents": 2, "cost": {"s_diag": -5}},
          "cost: s_diag -5.0 and s_off -10.0 leave the cost block of agent 1 not positive "
          "semi-definite (cost neighborhood size 1, min eig -5)"),
+        ({"n_agents": 2, "n_x": 1, "dynamics": {"a_self": [[1.5]]}}, UNSTABLE[command[0]]),
+    ]) + ([] if command[0] != "bounds" else [
+        ({"n_agents": 2, "sigma_eta": 0},
+         "bounds needs 0 < sigma_eta <= sigma_w, got sigma_eta 0.0 and sigma_w 1.0"),
+        ({"n_agents": 2, "sigma_eta": 2, "sigma_w": 1.5},
+         "bounds needs 0 < sigma_eta <= sigma_w, got sigma_eta 2.0 and sigma_w 1.5"),
     ]):
         path.write_text(json.dumps(config))
         result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
@@ -357,6 +372,15 @@ def test_repeated_seed_override_is_a_cli_error(config_file, tmp_path):
     assert result.output == "Error: seeds lists [0] more than once\n"
 
 
+@pytest.mark.parametrize("option", ["--epsilon", "--o-tilde"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bounds_rejects_nonpositive_options(config_file, option, value):
+    result = CliRunner().invoke(main, ["bounds", str(config_file), option, value])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+    assert f"Invalid value for '{option}': {float(value)} is not in the range x>0." in result.output
+
+
 @pytest.mark.parametrize("options,message", [
     (["--seed", "-1"], "seeds must be nonnegative, got -1"),
     (["--n-agents", "1"], "n_agents: example 2 needs at least 2 agents, got 1"),
@@ -372,7 +396,8 @@ def test_overrides_are_validated_like_the_config(config_file, tmp_path, options,
 
 def test_overrides_match_a_reparsed_document(config_file, tmp_path):
     config = load_config(config_file)
-    data = {**config.to_json_dict(), "seeds": [7, 3], "architectures": ["direct"], "n_agents": 6}
+    document = json.loads(config_file.read_text())
+    data = {**document, "seeds": [7, 3], "architectures": ["direct"], "n_agents": 6}
     assert cli._apply_overrides(config, (7, 3), ("direct",), 6) == parse_config(data)
     explicit = parse_config({**data, "example": None, "graphs": {
         "edges_s": [[1, 1]], "edges_o": [[1, 1]], "edges_c": [[1, 1]]}, "n_agents": 1})

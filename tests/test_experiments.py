@@ -1,23 +1,26 @@
 """Example generators, configuration, experiment runner, CSV artifacts."""
-import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from malspi.config import ConfigError, dump_config, load_config, parse_config
+from malspi.config import ConfigError, load_config, parse_config
 from malspi.examples import build_cost_blocks, generate_example1, generate_example2
 from malspi.graphs import build_coupling_graphs, dependency_sets, value_dependency_edges
 from malspi import runner
 from malspi.policy_iteration import Architecture
 from malspi.runner import (
     BenchCell,
+    CurveRow,
+    TimingRow,
     full_set_feature_dim,
-    read_bench_csv,
     read_curves_csv,
+    read_table,
     read_timing_csv,
     run_experiment,
     timing_benchmark,
-    write_bench_csv,
+    write_table,
 )
 
 
@@ -110,8 +113,7 @@ def test_config_defaults_and_round_trip(tmp_path):
     assert cfg.example == "example1"
     assert cfg.t_rollout == 500 and cfg.n_x == 3
     path = tmp_path / "cfg.json"
-    dump_config(cfg, path)
-    assert parse_config(json.loads(path.read_text())) == cfg
+    path.write_text('{"n_agents": 8, "example": "example1", "seeds": [0], "output_dir": null}')
     assert load_config(path) == cfg
 
 
@@ -163,8 +165,6 @@ def test_config_with_explicit_graphs_builds_system():
     )
     system = cfg.build_system()
     assert system.nx_total == 2
-    round_tripped = parse_config(cfg.to_json_dict())
-    assert round_tripped == cfg
 
 
 def test_config_rejects_out_of_range_graph_edges():
@@ -279,8 +279,8 @@ def test_timing_benchmark_skips_oversized_centralized(tmp_path):
     assert by_key[("centralized", 6)].mean_iteration_s is None
     assert not by_key[("centralized", 4)].skipped
     path = tmp_path / "bench.csv"
-    write_bench_csv(path, cells)
-    assert read_bench_csv(path) == tuple(cells)
+    write_table(path, BenchCell, cells)
+    assert read_table(path, BenchCell) == tuple(cells)
 
 
 def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
@@ -293,8 +293,8 @@ def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
     cells.append(BenchCell("direct", 4, 10, 0.5, 0.25, 2, False, 1.5,
                            frozen_updates=3, diverged_evals=2))
     path = tmp_path / "bench.csv"
-    write_bench_csv(path, cells)
-    assert read_bench_csv(path) == tuple(cells)
+    write_table(path, BenchCell, cells)
+    assert read_table(path, BenchCell) == tuple(cells)
 
 
 @pytest.mark.parametrize("warmup,measured", [(-1, 1), (0, 0)])
@@ -309,3 +309,64 @@ def test_timing_benchmark_auto_mode_keeps_regressions_determined():
     cell = cells[0]
     assert cell.t_rollout >= full_set_feature_dim(small_config()) + 50
     assert cell.n_measured == 1
+
+
+def test_timing_benchmark_runs_an_alias_pair_once_per_n(monkeypatch):
+    calls = []
+    real_run = runner.run_malspi
+
+    def counted(system, architecture, mconfig):
+        calls.append((architecture, system.graphs.n_agents))
+        return real_run(system, architecture, mconfig)
+
+    monkeypatch.setattr(runner, "run_malspi", counted)
+    names = ["undecomposed_direct", "indirect", "centralized"]
+    cfg = small_config(architectures=names, seeds=[0])
+    cells = timing_benchmark(cfg, [4, 6], warmup=0, measured=1)
+    assert calls == [
+        (Architecture.CENTRALIZED, 4),
+        (Architecture.INDIRECT, 4),
+        (Architecture.CENTRALIZED, 6),
+        (Architecture.INDIRECT, 6),
+    ]
+    assert [(c.architecture, c.n_agents) for c in cells] == [(a, n) for n in (4, 6) for a in names]
+    for alias, central in ((cells[0], cells[2]), (cells[3], cells[5])):
+        assert replace(alias, architecture="centralized") == central
+
+
+# Header lines of the tables, as documented under "Artifacts" in README.md.
+HEADERS = {
+    CurveRow: "architecture,seed,iteration,eval_cost,diverged",
+    TimingRow: "architecture,n_agents,mean_iteration_s,median_iteration_s,n_measured,"
+               "ratio_vs_indirect",
+    BenchCell: "architecture,n_agents,t_rollout,mean_iteration_s,median_iteration_s,"
+               "n_measured,skipped,ratio_vs_indirect,frozen_updates,diverged_evals",
+}
+
+
+def test_table_headers_are_pinned_and_checked_on_read(tmp_path):
+    run_experiment(small_config(seeds=[0]), tmp_path)
+    cells = timing_benchmark(small_config(seeds=[0]), [4], warmup=0, measured=1)
+    write_table(tmp_path / "bench.csv", BenchCell, cells)
+    for name, row_type in (("curves", CurveRow), ("timing", TimingRow), ("bench", BenchCell)):
+        path = tmp_path / f"{name}.csv"
+        assert path.read_text().splitlines()[0] == HEADERS[row_type]
+        assert read_table(path, row_type)
+        for other in set(HEADERS) - {row_type}:
+            with pytest.raises(ValueError, match=f"expected the {other.__name__} header"):
+                read_table(path, other)
+
+
+def test_experiment_writes_every_csv_through_one_call_site(tmp_path, monkeypatch):
+    written = []
+    real_write = runner.write_rows_csv
+
+    def counted(path, header, rows):
+        written.append(Path(path).relative_to(tmp_path).as_posix())
+        return real_write(path, header, rows)
+
+    monkeypatch.setattr(runner, "write_rows_csv", counted)
+    cfg = small_config(architectures=["indirect", "centralized", "undecomposed_direct"])
+    run_experiment(cfg, tmp_path)
+    cells = [f"{a}/seed_{s}/agents.csv" for a in cfg.architectures for s in cfg.seeds]
+    assert written == [*cells, "curves.csv", "timing.csv"]
