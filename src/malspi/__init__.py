@@ -71,6 +71,8 @@ from .bounds import (
     sample_bound_indirect,
 )
 from .examples import (
+    CostConfig,
+    DynamicsConfig,
     build_cost_blocks,
     build_example_system,
     default_state_block,

@@ -15,24 +15,50 @@ Two families of graphs over N agents:
 
 Per-agent dynamics default to a weakly coupled marginally stable 3-state
 chain (diagonal 0.95, super/sub-diagonal 0.01, identity input map).  These
-defaults are stand-ins chosen to be open-loop stable at any N; override
-them from the experiment config to study other plants.
+defaults are stand-ins chosen to be open-loop stable at any N; a
+``DynamicsConfig`` (an experiment config's ``dynamics`` section) overrides
+them to study other plants.
 
 Cost blocks follow the benchmark recipe: for an agent whose cost couples k
-agents, the state block is (200/k on the diagonal, -10/k off it) per agent
-pair, expanded by Kronecker product with the per-agent identity, and the
-control block is the identity.  The control block is expanded with the
+agents, the state block is (``CostConfig.s_diag``/k on the diagonal,
+``s_off``/k off it) per agent pair, expanded by Kronecker product with the
+per-agent identity, and the control block is the identity.  The control block is expanded with the
 control dimension's identity so the quadratic form is well defined when
 n_u differs from n_x.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .graphs import CouplingGraphs, build_coupling_graphs
 from .system import MultiAgentSystem, build_system
+
+
+@dataclass(frozen=True)
+class DynamicsConfig:
+    """Team-wide plant overrides: one self block per agent and the coupling scales.
+
+    ``a_self`` (n_x x n_x) and ``b_self`` (n_x x n_u) default to the
+    marginally stable chain and the identity input map; cross blocks within
+    the state graph are ``coupling_scale`` and ``b_coupling_scale`` times the
+    identity.
+    """
+
+    a_self: Optional[tuple[tuple[float, ...], ...]] = None
+    b_self: Optional[tuple[tuple[float, ...], ...]] = None
+    coupling_scale: float = 0.01
+    b_coupling_scale: float = 0.0
+
+
+@dataclass(frozen=True)
+class CostConfig:
+    """Per-agent-pair cost entries, divided by the cost-neighborhood size."""
+
+    s_diag: float = 200.0
+    s_off: float = -10.0
 
 
 def generate_example1(n_agents: int) -> CouplingGraphs:
@@ -65,9 +91,7 @@ def build_cost_blocks(
     graphs: CouplingGraphs,
     n_x: int,
     n_u: int,
-    *,
-    s_diag: float = 200.0,
-    s_off: float = -10.0,
+    cost: CostConfig = CostConfig(),
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Per-agent cost blocks over each agent's cost in-neighbors.
 
@@ -82,13 +106,14 @@ def build_cost_blocks(
             s_blocks[i] = np.zeros((0, 0))
             r_blocks[i] = np.zeros((0, 0))
             continue
-        small = np.full((k, k), s_off / k)
-        np.fill_diagonal(small, s_diag / k)
+        small = np.full((k, k), cost.s_off / k)
+        np.fill_diagonal(small, cost.s_diag / k)
         eigs = np.linalg.eigvalsh(small)
         if eigs.min() < -1e-9 * max(1.0, abs(eigs).max()):
             raise ValueError(
-                f"s_diag {s_diag!r} and s_off {s_off!r} leave the cost block of agent {i} "
-                f"not positive semi-definite (cost neighborhood size {k}, min eig {eigs.min():.3g})"
+                f"s_diag {cost.s_diag!r} and s_off {cost.s_off!r} leave the cost block of "
+                f"agent {i} not positive semi-definite (cost neighborhood size {k}, "
+                f"min eig {eigs.min():.3g})"
             )
         s_blocks[i] = np.kron(small, np.eye(n_x))
         r_blocks[i] = np.eye(k * n_u)
@@ -109,29 +134,20 @@ def build_example_system(
     *,
     n_x: int = 3,
     n_u: int = 3,
-    a_self: Optional[np.ndarray] = None,
-    b_self: Optional[np.ndarray] = None,
-    coupling_scale: float = 0.01,
-    b_coupling_scale: float = 0.0,
-    s_diag: float = 200.0,
-    s_off: float = -10.0,
+    dynamics: DynamicsConfig = DynamicsConfig(),
+    cost: CostConfig = CostConfig(),
     sigma_w: float = 1.0,
 ) -> MultiAgentSystem:
-    """Assemble a system on the given graphs from per-agent defaults.
-
-    Self blocks default to the marginally stable chain with an identity
-    input map; cross blocks within the state graph default to
-    ``coupling_scale`` (state) and ``b_coupling_scale`` (control) times the
-    identity.
-    """
-    a_self = default_state_block(n_x) if a_self is None else np.asarray(a_self, dtype=float)
-    b_self = np.eye(n_x, n_u) if b_self is None else np.asarray(b_self, dtype=float)
+    """Assemble a system on the given graphs from ``dynamics`` and ``cost``."""
+    dyn = dynamics
+    a_self = default_state_block(n_x) if dyn.a_self is None else np.asarray(dyn.a_self, dtype=float)
+    b_self = np.eye(n_x, n_u) if dyn.b_self is None else np.asarray(dyn.b_self, dtype=float)
 
     a_blocks, b_blocks = {}, {}
     for i in graphs.agents:
         for j in graphs.state_in_neighbors(i):
-            a_blocks[(i, j)] = a_self if i == j else coupling_scale * np.eye(n_x)
-            b_blocks[(i, j)] = b_self if i == j else b_coupling_scale * np.eye(n_x, n_u)
+            a_blocks[(i, j)] = a_self if i == j else dyn.coupling_scale * np.eye(n_x)
+            b_blocks[(i, j)] = b_self if i == j else dyn.b_coupling_scale * np.eye(n_x, n_u)
 
-    s_blocks, r_blocks = build_cost_blocks(graphs, n_x, n_u, s_diag=s_diag, s_off=s_off)
+    s_blocks, r_blocks = build_cost_blocks(graphs, n_x, n_u, cost)
     return build_system(graphs, n_x, n_u, a_blocks, b_blocks, s_blocks, r_blocks, sigma_w)

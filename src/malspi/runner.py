@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .io import read_rows_csv, write_rows_csv
 from .linalg import svec_dim
 from .policy_iteration import Architecture, IterationRecord, run_malspi
@@ -273,12 +273,18 @@ def timing_benchmark(
     parsed = {name: Architecture.parse(name) for name in archs}
     full_dim_archs = {name for name, a in parsed.items() if a is Architecture.CENTRALIZED}
 
+    # Every agent count is checked before the first one runs.
+    if config.graphs is not None and any(n != config.n_agents for n in n_list):
+        raise ConfigError("explicit graphs cannot be rescaled; use a named example for benchmarks")
+    repeated = sorted({n for n in n_list if n_list.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"agent counts {repeated} are listed more than once")
+    configs = [replace(config, n_agents=int(n), architectures=archs,
+                       n_iterations=warmup + measured, oracle_diagnostics=False) for n in n_list]
+
     cells: list[BenchCell] = []
-    for n in n_list:
-        if config.graphs is not None and n != config.n_agents:
-            raise ValueError("explicit graphs cannot be rescaled; use a named example for benchmarks")
-        cfg_n = replace(config, n_agents=int(n), architectures=archs,
-                        n_iterations=warmup + measured, oracle_diagnostics=False)
+    for cfg_n in configs:
+        n = cfg_n.n_agents
         active = [a for a in archs if not (a in full_dim_archs and n > centralized_max_n)]
         t_run = cfg_n.t_rollout
         if t_mode == "auto" and any(a in full_dim_archs for a in active):
@@ -290,7 +296,7 @@ def timing_benchmark(
         for arch_name in archs:
             if arch_name not in active:
                 row_cells.append(
-                    BenchCell(arch_name, int(n), None, None, None, 0, skipped=True)
+                    BenchCell(arch_name, n, None, None, None, 0, skipped=True)
                 )
                 continue
             architecture = parsed[arch_name]
@@ -302,7 +308,7 @@ def timing_benchmark(
             row_cells.append(
                 BenchCell(
                     arch_name,
-                    int(n),
+                    n,
                     t_run,
                     *_mean_median(secs),
                     n_measured=len(secs),

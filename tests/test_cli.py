@@ -343,6 +343,15 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
         ({"n_agents": 1, "example": "example2"},
          "n_agents: example 2 needs at least 2 agents, got 1"),
         ({"n_agents": 2, "output_dir": 5}, "output_dir must be a string or null, got 5"),
+        # a section must be an object and a name a string
+        ({"n_agents": 2, "dynamics": 5}, "dynamics must be an object, got 5"),
+        ({"n_agents": 2, "dynamics": []}, "dynamics must be an object, got []"),
+        ({"n_agents": 2, "cost": "x"}, "cost must be an object, got 'x'"),
+        ({"n_agents": 2, "graphs": 5}, "graphs must be an object, got 5"),
+        ({"n_agents": 2, "example": ["example1"]},
+         "example must be a string or null, got ['example1']"),
+        ({"n_agents": 2, "architectures": [["direct"]]},
+         "architectures must be a string, got ['direct']"),
     ] + ([] if command[0] == "graphs" else [
         # only the commands that build the system need a valid cost and a stable plant
         ({"n_agents": 2, "cost": {"s_diag": -5}},
@@ -360,6 +369,37 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # reported, not a traceback
         assert result.output == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("document,n_list,message", [
+    (_explicit_graphs(), ["2", "3"],
+     "explicit graphs cannot be rescaled; use a named example for benchmarks"),
+    ({"n_agents": 2}, ["4", "4"], "agent counts [4] are listed more than once"),
+    ({"n_agents": 2}, ["4", "1"], "n_agents: example 1 needs at least 2 agents, got 1"),
+], ids=["explicit_graphs", "repeated", "too_few_agents"])
+def test_bench_checks_every_agent_count_before_running(tmp_path, monkeypatch, document, n_list,
+                                                       message):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(document))
+    runs = []
+    monkeypatch.setattr("malspi.runner.run_malspi", lambda *args: runs.append(args))
+    out = tmp_path / "bench_out"
+    options = [opt for n in n_list for opt in ("--n-agents", n)]
+    result = CliRunner().invoke(main, ["bench", str(path), *options, "--output", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # reported, not a traceback
+    assert result.output == f"Error: {message}\n"
+    assert runs == [] and not out.exists()
+
+
+def test_config_that_is_not_utf8_is_a_one_line_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: {path} is not UTF-8 text: ")
+    assert result.output.count("\n") == 1
 
 
 def test_repeated_seed_override_is_a_cli_error(config_file, tmp_path):

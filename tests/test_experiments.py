@@ -1,15 +1,23 @@
 """Example generators, configuration, experiment runner, CSV artifacts."""
-from dataclasses import replace
+import json
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from malspi.config import ConfigError, load_config, parse_config
-from malspi.examples import build_cost_blocks, generate_example1, generate_example2
+from malspi.config import ConfigError, ExperimentConfig, load_config, parse_config
+from malspi.examples import (
+    CostConfig,
+    DynamicsConfig,
+    build_cost_blocks,
+    generate_example1,
+    generate_example2,
+)
 from malspi.graphs import build_coupling_graphs, dependency_sets, value_dependency_edges
 from malspi import runner
-from malspi.policy_iteration import Architecture
+from malspi.policy_iteration import Architecture, MalspiConfig
 from malspi.runner import (
     BenchCell,
     CurveRow,
@@ -117,6 +125,61 @@ def test_config_defaults_and_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def test_readme_config_block_states_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    document = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert parse_config(document) == parse_config({"n_agents": 8})
+    assert set(document) == _names(ExperimentConfig)
+    assert set(document["dynamics"]) == _names(DynamicsConfig)
+    assert set(document["cost"]) == _names(CostConfig)
+
+
+def test_every_key_parses_to_its_value_and_reaches_the_run():
+    document = {
+        "n_agents": 5, "example": "example2", "n_x": 2, "n_u": 1,
+        "dynamics": {"a_self": [[0.5, 0.1], [0.0, 0.4]], "b_self": [[1.0], [0.5]],
+                     "coupling_scale": 0.02, "b_coupling_scale": 0.1},
+        "cost": {"s_diag": 150.0, "s_off": -5.0}, "sigma_w": 0.5, "sigma_eta": 0.7,
+        "t_rollout": 300, "t_eval": 200, "n_iterations": 4, "alpha": 2e-4, "zeta": 1e-5,
+        "sigma0": 0.3, "architectures": ["direct", "centralized"], "seeds": [3, 1],
+        "output_dir": "out", "force_full_sets": True, "oracle_diagnostics": True,
+    }
+    expected = ExperimentConfig(
+        n_agents=5, example="example2", n_x=2, n_u=1,
+        dynamics=DynamicsConfig(((0.5, 0.1), (0.0, 0.4)), ((1.0,), (0.5,)), 0.02, 0.1),
+        cost=CostConfig(150.0, -5.0), sigma_w=0.5, sigma_eta=0.7, t_rollout=300, t_eval=200,
+        n_iterations=4, alpha=2e-4, zeta=1e-5, sigma0=0.3,
+        architectures=("direct", "centralized"), seeds=(3, 1), output_dir="out",
+        force_full_sets=True, oracle_diagnostics=True,
+    )
+    assert parse_config(document) == expected
+    default = parse_config({"n_agents": 8})
+    for section, reference, names in (
+        (expected, default, _names(ExperimentConfig) - {"graphs"}),
+        (expected.dynamics, default.dynamics, _names(DynamicsConfig)),
+        (expected.cost, default.cost, _names(CostConfig)),
+    ):
+        assert [n for n in names if getattr(section, n) == getattr(reference, n)] == []
+    shared = _names(MalspiConfig) & _names(ExperimentConfig)
+    assert shared == {"n_iterations", "t_rollout", "t_eval", "sigma_eta", "alpha", "zeta",
+                      "sigma0", "force_full_sets", "oracle_diagnostics"}
+    run = expected.malspi_config(7)
+    assert run.seed == 7
+    assert all(getattr(run, key) == getattr(expected, key) for key in shared)
+    # the learning knobs default to the run's defaults
+    assert all(getattr(default, key) == getattr(MalspiConfig(), key) for key in shared)
+
+
+def test_config_rejects_a_number_too_large_for_a_float():
+    with pytest.raises(ConfigError, match=r"^alpha must be a number, got 1000"):
+        parse_config({"n_agents": 2, "alpha": 10**400})
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_config({"n_agents": 4, "t_rollout_len": 100})
@@ -125,14 +188,13 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_requires_exactly_one_topology_source():
+    graphs = {"edges_s": [[1, 1]], "edges_o": [[1, 1]], "edges_c": [[1, 1]]}
     with pytest.raises(ConfigError, match="exactly one"):
-        parse_config(
-            {
-                "n_agents": 2,
-                "example": "example1",
-                "graphs": {"edges_s": [[1, 1]], "edges_o": [[1, 1]], "edges_c": [[1, 1]]},
-            }
-        )
+        parse_config({"n_agents": 2, "example": "example1", "graphs": graphs})
+    # example1 is the default only when no graphs are given
+    for example in ({}, {"example": None}):
+        assert parse_config({"n_agents": 1, "graphs": graphs, **example}).example is None
+        assert parse_config({"n_agents": 2, "graphs": None, **example}).example == "example1"
 
 
 def test_config_rejects_unknown_example_and_architecture():
