@@ -81,7 +81,7 @@ from .examples import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .runner import (
-    BenchCell,
+    AgentRow,
     CurveRow,
     ResultTable,
     TimingRow,

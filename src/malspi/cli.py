@@ -28,7 +28,7 @@ from .config import parse_config  # noqa: F401  unused; a perfbench span rebinds
 from .graphs import CouplingGraphs, dependency_sets, graphical_conditions
 from .policy_iteration import ARCHITECTURE_NAMES
 from .linalg import InstabilityError
-from .runner import BenchCell, run_experiment, timing_benchmark, write_table
+from .runner import TimingRow, run_experiment, timing_benchmark, write_table
 from .system import extract_subsystem, zero_policy
 from .verify import run_all_checks
 
@@ -86,6 +86,23 @@ def _echo(message: str) -> None:
     click.echo(message, file=click.get_text_stream("stdout"))
 
 
+def _echo_timing(row: TimingRow) -> None:
+    if row.skipped:
+        _echo(f"  {row.architecture:>20} N={row.n_agents}: NA (skipped)")
+        return
+    mean, median = (
+        "NA" if s is None else f"{s:.4f}s" for s in (row.mean_iteration_s, row.median_iteration_s)
+    )
+    ratio = (
+        "" if row.ratio_vs_indirect is None else f" ratio_vs_indirect {row.ratio_vs_indirect:.2f}"
+    )
+    _echo(
+        f"  {row.architecture:>20} N={row.n_agents}: mean {mean} median {median} "
+        f"(T={row.t_rollout}){ratio}; frozen updates {row.frozen_updates}, "
+        f"diverged evals {row.diverged_evals}"
+    )
+
+
 @click.group(cls=_Main)
 @click.option("--verbose", is_flag=True, help="Log per-run progress.")
 @click.pass_context
@@ -132,8 +149,7 @@ def run(config_path: str, output: str | None, seeds, archs, n_agents) -> None:
     table = run_experiment(config, out_dir)
     _echo(f"wrote {len(table.curves)} curve rows to {out_dir}")
     for row in table.timing:
-        mean = "NA" if row.mean_iteration_s is None else f"{row.mean_iteration_s:.4f}s"
-        _echo(f"  {row.architecture:>20}: mean iteration {mean}")
+        _echo_timing(row)
 
 
 @main.command("graphs")
@@ -254,7 +270,7 @@ def bench(config_path: str, n_list, archs, warmup: int, measured: int, t_mode: s
           centralized_max_n: int, output: str | None) -> None:
     """Measure per-iteration wall time across agent counts."""
     config = load_config(config_path)
-    cells = timing_benchmark(
+    rows = timing_benchmark(
         config,
         list(n_list),
         architectures=list(archs) or None,
@@ -265,21 +281,9 @@ def bench(config_path: str, n_list, archs, warmup: int, measured: int, t_mode: s
     )
     out_dir = _resolve_output(config, output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_table(out_dir / "bench.csv", BenchCell, cells)
-    for cell in cells:
-        if cell.skipped:
-            _echo(f"  {cell.architecture:>20} N={cell.n_agents}: NA (skipped)")
-        else:
-            ratio = (
-                "" if cell.ratio_vs_indirect is None
-                else f" ratio_vs_indirect {cell.ratio_vs_indirect:.2f}"
-            )
-            _echo(
-                f"  {cell.architecture:>20} N={cell.n_agents}: "
-                f"mean {cell.mean_iteration_s:.4f}s median {cell.median_iteration_s:.4f}s "
-                f"(T={cell.t_rollout}){ratio}; frozen updates {cell.frozen_updates}, "
-                f"diverged evals {cell.diverged_evals}"
-            )
+    write_table(out_dir / "bench.csv", TimingRow, rows)
+    for row in rows:
+        _echo_timing(row)
     _echo(f"wrote {out_dir / 'bench.csv'}")
 
 

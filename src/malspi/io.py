@@ -30,8 +30,7 @@ def write_rows_csv(path: str | Path, header: Sequence[str], rows: Iterable[Seque
             writer.writerow([_fmt(v) for v in row])
 
 
-def read_rows_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def read_rows_csv(path: str | Path) -> list[list[str]]:
+    """Every line of the file as its fields, the header line first."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
+        return list(csv.reader(fh))

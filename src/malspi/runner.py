@@ -3,11 +3,11 @@
 ``run_experiment`` runs every (architecture, seed) cell of a configuration,
 writes one per-agent CSV per run under seed-scoped directories, and returns
 (and writes) the learning-curve and timing tables.  ``timing_benchmark``
-measures mean and median per-iteration wall time across agent counts, with
-a warm-up iteration excluded and oversized architectures skipped as
-explicit NA rows.
+calls ``run_experiment`` once per agent count, with warm-up iterations
+excluded from the timing and oversized architectures skipped as explicit
+NA rows.
 
-A table of ``CurveRow``, ``TimingRow`` or ``BenchCell`` rows is written by
+A table of ``CurveRow``, ``TimingRow`` or ``AgentRow`` rows is written by
 ``write_table`` and read back by ``read_table``: the row dataclass's field
 names are the CSV header and its annotations say how each field is parsed.
 """
@@ -30,17 +30,6 @@ logger = logging.getLogger(__name__)
 # flags of an agent update whose gain was carried forward unchanged
 _FROZEN_FLAGS = ("singular", "underdetermined")
 
-AGENT_HEADER = [
-    "iteration",
-    "agent",
-    "eval_cost",
-    "q_err_if_oracle_known",
-    "rcond",
-    "wall_ms_eval",
-    "wall_ms_update",
-    "flags",
-]
-
 
 @dataclass(frozen=True)
 class CurveRow:
@@ -53,12 +42,35 @@ class CurveRow:
 
 @dataclass(frozen=True)
 class TimingRow:
+    """One (architecture, N) cell over its measured iterations, unless ``skipped``.
+
+    ``frozen_updates`` counts the updates flagged ``singular`` or ``underdetermined``.
+    """
+
     architecture: str
     n_agents: int
+    t_rollout: Optional[int]
     mean_iteration_s: Optional[float]
     median_iteration_s: Optional[float]
     n_measured: int
+    skipped: bool = False
     ratio_vs_indirect: Optional[float] = None
+    frozen_updates: int = 0
+    diverged_evals: int = 0
+
+
+@dataclass(frozen=True)
+class AgentRow:
+    """One agent's update in one iteration of one run."""
+
+    iteration: int
+    agent: int
+    eval_cost: float
+    q_err_if_oracle_known: Optional[float]
+    rcond: Optional[float]
+    wall_ms_eval: float
+    wall_ms_update: float
+    flags: str
 
 
 @dataclass(frozen=True)
@@ -108,14 +120,20 @@ def _parser(annotation) -> Callable[[str], Any]:
 
 
 def read_table(path: str | Path, row_type: type[Row]) -> tuple[Row, ...]:
-    """The rows ``write_table`` wrote; a header other than the field names is a ValueError."""
-    header, rows = read_rows_csv(path)
+    """The rows ``write_table`` wrote; a wrong header or field count is a ValueError."""
+    lines = read_rows_csv(path)
     names = [f.name for f in fields(row_type)]
-    if header != names:
-        raise ValueError(f"{path}: expected the {row_type.__name__} header {names}, got {header}")
+    if not lines or lines[0] != names:
+        got = lines[0] if lines else "an empty file"
+        raise ValueError(
+            f"{path}: line 1: expected the {row_type.__name__} header {names}, got {got}"
+        )
+    for number, row in enumerate(lines[1:], start=2):
+        if len(row) != len(names):
+            raise ValueError(f"{path}: line {number}: expected {len(names)} fields, got {len(row)}")
     hints = typing.get_type_hints(row_type)
     parsers = [_parser(hints[name]) for name in names]
-    return tuple(row_type(*(parse(text) for parse, text in zip(parsers, row))) for row in rows)
+    return tuple(row_type(*(parse(text) for parse, text in zip(parsers, row))) for row in lines[1:])
 
 
 def read_curves_csv(path: str | Path) -> tuple[CurveRow, ...]:
@@ -126,17 +144,25 @@ def read_timing_csv(path: str | Path) -> tuple[TimingRow, ...]:
     return read_table(path, TimingRow)
 
 
-def _iteration_seconds(records: Sequence[IterationRecord]) -> list[float]:
-    return [r.wall_eval_s + r.wall_update_s for r in records if r.iteration > 0]
+def _timing_row(
+    name: str, config: ExperimentConfig, runs: Sequence[Sequence[IterationRecord]], warmup: int
+) -> TimingRow:
+    """Statistics over the iterations after the first ``warmup`` updates of each run."""
+    measured = [r for records in runs for r in [r for r in records if r.iteration > 0][warmup:]]
+    seconds = [r.wall_eval_s + r.wall_update_s for r in measured]
+    return TimingRow(
+        name, config.n_agents, config.t_rollout,
+        statistics.fmean(seconds) if seconds else None,
+        statistics.median(seconds) if seconds else None,
+        len(seconds),
+        frozen_updates=sum(
+            any(flag in _FROZEN_FLAGS for flag in diag.flags) for r in measured for diag in r.agents
+        ),
+        diverged_evals=sum(r.eval_diverged for r in measured),
+    )
 
 
-def _mean_median(seconds: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
-    if not seconds:
-        return None, None
-    return statistics.fmean(seconds), statistics.median(seconds)
-
-
-def _with_ratios(rows: Sequence[Row]) -> list[Row]:
+def _with_ratios(rows: Sequence[TimingRow]) -> tuple[TimingRow, ...]:
     """The rows with ``ratio_vs_indirect`` set to each mean over the ``indirect`` row's mean.
 
     The ratio is None where either mean is missing or the indirect mean is 0.
@@ -144,31 +170,16 @@ def _with_ratios(rows: Sequence[Row]) -> list[Row]:
     base = next(
         (r.mean_iteration_s for r in rows if r.architecture == Architecture.INDIRECT.value), None
     )
-    return [
+    return tuple(
         replace(r, ratio_vs_indirect=(
             r.mean_iteration_s / base if base and r.mean_iteration_s is not None else None
         ))
         for r in rows
-    ]
-
-
-def _agent_rows(records: Sequence[IterationRecord]):
-    for record in records:
-        for diag in record.agents:
-            yield [
-                record.iteration,
-                diag.agent,
-                record.eval_cost,
-                diag.q_error,
-                diag.rcond,
-                record.wall_eval_s * 1e3,
-                record.wall_update_s * 1e3,
-                "|".join(diag.flags),
-            ]
+    )
 
 
 def run_experiment(
-    config: ExperimentConfig, output_root: Optional[str | Path] = None
+    config: ExperimentConfig, output_root: Optional[str | Path] = None, *, warmup: int = 0
 ) -> ResultTable:
     """Run all (architecture, seed) cells and emit CSV artifacts.
 
@@ -176,6 +187,7 @@ def run_experiment(
     ``<architecture>/seed_<seed>/agents.csv`` per configured name and seed.
     Names that parse to the same architecture (``undecomposed_direct`` and
     ``centralized``) share one run per seed, reported under each name.
+    The timing table leaves out the first ``warmup`` updates of each run.
     When no output location is configured, no files are written and the
     tables are only returned.
     """
@@ -191,7 +203,6 @@ def run_experiment(
     runs: dict[tuple[Architecture, int], list[IterationRecord]] = {}
     for arch_name in config.architectures:
         architecture = Architecture.parse(arch_name)
-        seconds: list[float] = []
         for seed in config.seeds:
             if (architecture, seed) not in runs:
                 logger.info("running %s seed %d", arch_name, seed)
@@ -199,7 +210,6 @@ def run_experiment(
                     system, architecture, config.malspi_config(seed)
                 )
             records = runs[architecture, seed]
-            seconds.extend(_iteration_seconds(records))
             curves.extend(
                 CurveRow(arch_name, seed, r.iteration, r.eval_cost, r.eval_diverged)
                 for r in records
@@ -207,10 +217,15 @@ def run_experiment(
             if out_dir is not None:
                 run_dir = out_dir / arch_name / f"seed_{seed}"
                 run_dir.mkdir(parents=True, exist_ok=True)
-                write_rows_csv(run_dir / "agents.csv", AGENT_HEADER, _agent_rows(records))
-        timing.append(TimingRow(arch_name, config.n_agents, *_mean_median(seconds), len(seconds)))
+                write_table(run_dir / "agents.csv", AgentRow, (
+                    AgentRow(r.iteration, diag.agent, r.eval_cost, diag.q_error, diag.rcond,
+                             r.wall_eval_s * 1e3, r.wall_update_s * 1e3, "|".join(diag.flags))
+                    for r in records for diag in r.agents
+                ))
+        arch_runs = [runs[architecture, seed] for seed in config.seeds]
+        timing.append(_timing_row(arch_name, config, arch_runs, warmup))
 
-    table = ResultTable(curves=tuple(curves), timing=tuple(_with_ratios(timing)))
+    table = ResultTable(curves=tuple(curves), timing=_with_ratios(timing))
     if out_dir is not None:
         write_table(out_dir / "curves.csv", CurveRow, table.curves)
         write_table(out_dir / "timing.csv", TimingRow, table.timing)
@@ -222,28 +237,6 @@ def full_set_feature_dim(config: ExperimentConfig) -> int:
     return svec_dim((config.n_x + config.n_u) * config.n_agents)
 
 
-@dataclass(frozen=True)
-class BenchCell:
-    """Timing of one (architecture, N) cell over its measured iterations.
-
-    ``frozen_updates`` counts agent updates flagged ``singular`` or
-    ``underdetermined`` (gain carried forward unchanged) and
-    ``diverged_evals`` the evaluation rollouts that diverged, both over the
-    measured iterations only.
-    """
-
-    architecture: str
-    n_agents: int
-    t_rollout: Optional[int]
-    mean_iteration_s: Optional[float]
-    median_iteration_s: Optional[float]
-    n_measured: int
-    skipped: bool
-    ratio_vs_indirect: Optional[float] = None
-    frozen_updates: int = 0
-    diverged_evals: int = 0
-
-
 def timing_benchmark(
     config: ExperimentConfig,
     n_list: Sequence[int],
@@ -253,25 +246,22 @@ def timing_benchmark(
     measured: int = 2,
     t_mode: str = "fixed",
     centralized_max_n: int = 20,
-) -> list[BenchCell]:
+) -> list[TimingRow]:
     """Per-iteration wall time across agent counts, one row per (arch, N).
 
-    The first ``warmup`` iterations are excluded from the statistics.  The
-    full-dimension architectures are skipped (NA row) above
-    ``centralized_max_n``.  With ``t_mode="auto"`` the rollout length is
-    raised to keep every requested regression determined (feature dimension
-    plus margin), applied uniformly to all architectures at that agent
-    count so the comparison is ratio-fair; ``"fixed"`` keeps the config's
-    rollout length everywhere.  Names that parse to the same architecture
-    share one run per N, reported under each name.
+    Each agent count is one file-less ``run_experiment`` on the first seed
+    that leaves out the first ``warmup`` updates.  The full-dimension
+    architectures are skipped (NA row) above ``centralized_max_n``.
+    ``t_mode="auto"`` raises the rollout length at an agent count to keep
+    every regression there determined (feature dimension plus margin), for
+    all its architectures alike; ``"fixed"`` keeps the config's length.
     """
     if t_mode not in ("fixed", "auto"):
         raise ValueError(f"t_mode must be 'fixed' or 'auto', got {t_mode!r}")
     if warmup < 0 or measured < 1:
         raise ValueError(f"need warmup >= 0 and measured >= 1, got {warmup} and {measured}")
     archs = tuple(architectures) if architectures is not None else config.architectures
-    parsed = {name: Architecture.parse(name) for name in archs}
-    full_dim_archs = {name for name, a in parsed.items() if a is Architecture.CENTRALIZED}
+    full_dim_archs = {a for a in archs if Architecture.parse(a) is Architecture.CENTRALIZED}
 
     # Every agent count is checked before the first one runs.
     if config.graphs is not None and any(n != config.n_agents for n in n_list):
@@ -279,47 +269,21 @@ def timing_benchmark(
     repeated = sorted({n for n in n_list if n_list.count(n) > 1})
     if repeated:
         raise ConfigError(f"agent counts {repeated} are listed more than once")
-    configs = [replace(config, n_agents=int(n), architectures=archs,
-                       n_iterations=warmup + measured, oracle_diagnostics=False) for n in n_list]
+    configs = [replace(config, n_agents=int(n), architectures=archs, seeds=config.seeds[:1],
+                       n_iterations=warmup + measured, output_dir=None, oracle_diagnostics=False)
+               for n in n_list]
 
-    cells: list[BenchCell] = []
+    rows: list[TimingRow] = []
     for cfg_n in configs:
         n = cfg_n.n_agents
-        active = [a for a in archs if not (a in full_dim_archs and n > centralized_max_n)]
+        active = tuple(a for a in archs if not (a in full_dim_archs and n > centralized_max_n))
         t_run = cfg_n.t_rollout
         if t_mode == "auto" and any(a in full_dim_archs for a in active):
             t_run = max(t_run, full_set_feature_dim(cfg_n) + 50)
-        system = cfg_n.build_system()
-        mcfg = replace(cfg_n.malspi_config(cfg_n.seeds[0]), t_rollout=int(t_run))
-        runs: dict[Architecture, list[IterationRecord]] = {}
-        row_cells: list[BenchCell] = []
-        for arch_name in archs:
-            if arch_name not in active:
-                row_cells.append(
-                    BenchCell(arch_name, n, None, None, None, 0, skipped=True)
-                )
-                continue
-            architecture = parsed[arch_name]
-            if architecture not in runs:
-                logger.info("benchmark %s at N=%d (T=%d)", arch_name, n, t_run)
-                runs[architecture] = run_malspi(system, architecture, mcfg)
-            measured_records = [r for r in runs[architecture] if r.iteration > 0][warmup:]
-            secs = _iteration_seconds(measured_records)
-            row_cells.append(
-                BenchCell(
-                    arch_name,
-                    n,
-                    t_run,
-                    *_mean_median(secs),
-                    n_measured=len(secs),
-                    skipped=False,
-                    frozen_updates=sum(
-                        any(flag in _FROZEN_FLAGS for flag in diag.flags)
-                        for r in measured_records
-                        for diag in r.agents
-                    ),
-                    diverged_evals=sum(r.eval_diverged for r in measured_records),
-                )
-            )
-        cells.extend(_with_ratios(row_cells))
-    return cells
+        timed = {}
+        if active:
+            run_config = replace(cfg_n, architectures=active, t_rollout=t_run)
+            timed = {r.architecture: r for r in run_experiment(run_config, warmup=warmup).timing}
+        rows.extend(timed.get(a) or TimingRow(a, n, None, None, None, 0, skipped=True)
+                    for a in archs)
+    return rows

@@ -10,7 +10,7 @@ prints one pass/fail line each.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -527,16 +527,7 @@ def check_noise_free_lstdq(cases: Optional[Iterable] = None) -> CheckResult:
 
 def build_noise_free_variant(system: MultiAgentSystem) -> MultiAgentSystem:
     """Same system with the process noise removed."""
-    return build_system(
-        system.graphs,
-        system.n_x,
-        system.n_u,
-        dict(system.a_blocks),
-        dict(system.b_blocks),
-        dict(system.s_blocks),
-        dict(system.r_blocks),
-        0.0,
-    )
+    return replace(system, sigma_w=0.0)
 
 
 def check_psd_projection(seed: int = 0) -> CheckResult:

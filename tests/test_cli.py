@@ -232,6 +232,17 @@ def test_run_subcommand_writes_artifacts(config_file, tmp_path):
     assert (out / "indirect" / "seed_0" / "agents.csv").exists()
 
 
+def test_run_prints_update_counts_for_each_architecture(config_file, tmp_path):
+    result = CliRunner().invoke(
+        main, ["run", str(config_file), "--output", str(tmp_path), "--arch", "indirect",
+               "--arch", "centralized"]
+    )
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()[1:]
+    assert [line.split()[0] for line in lines] == ["indirect", "centralized"]
+    assert all("frozen updates 0, diverged evals 0" in line for line in lines)
+
+
 def test_run_respects_environment_output_root(config_file, tmp_path):
     env_root = tmp_path / "from_env"
     result = CliRunner().invoke(

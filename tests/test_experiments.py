@@ -19,7 +19,7 @@ from malspi.graphs import build_coupling_graphs, dependency_sets, value_dependen
 from malspi import runner
 from malspi.policy_iteration import Architecture, MalspiConfig
 from malspi.runner import (
-    BenchCell,
+    AgentRow,
     CurveRow,
     TimingRow,
     full_set_feature_dim,
@@ -272,26 +272,14 @@ def test_experiment_artifacts_round_trip_exactly(tmp_path):
     table = run_experiment(cfg, tmp_path)
     assert read_curves_csv(tmp_path / "curves.csv") == table.curves
     assert read_timing_csv(tmp_path / "timing.csv") == table.timing
-    agents_csv = tmp_path / "indirect" / "seed_0" / "agents.csv"
-    header = agents_csv.read_text().splitlines()[0].split(",")
-    assert header == [
-        "iteration",
-        "agent",
-        "eval_cost",
-        "q_err_if_oracle_known",
-        "rcond",
-        "wall_ms_eval",
-        "wall_ms_update",
-        "flags",
-    ]
-    rows = [row.split(",") for row in agents_csv.read_text().splitlines()[1:]]
-    assert rows and all(0.0 < float(row[4]) <= 1.0 for row in rows if row[-1] == "")
+    rows = read_table(tmp_path / "indirect" / "seed_0" / "agents.csv", AgentRow)
+    assert rows and all(0.0 < row.rcond <= 1.0 for row in rows if row.flags == "")
 
 
 def test_experiment_without_oracle_marks_q_err_empty(tmp_path):
     run_experiment(small_config(seeds=[0]), tmp_path)
-    rows = (tmp_path / "direct" / "seed_0" / "agents.csv").read_text().splitlines()[1:]
-    assert rows and all(row.split(",")[3] == "" for row in rows)
+    rows = read_table(tmp_path / "direct" / "seed_0" / "agents.csv", AgentRow)
+    assert rows and all(row.q_err_if_oracle_known is None for row in rows)
 
 
 def test_alias_pair_runs_once_per_seed_and_reports_under_both_names(tmp_path, monkeypatch):
@@ -341,8 +329,8 @@ def test_timing_benchmark_skips_oversized_centralized(tmp_path):
     assert by_key[("centralized", 6)].mean_iteration_s is None
     assert not by_key[("centralized", 4)].skipped
     path = tmp_path / "bench.csv"
-    write_table(path, BenchCell, cells)
-    assert read_table(path, BenchCell) == tuple(cells)
+    write_table(path, TimingRow, cells)
+    assert read_table(path, TimingRow) == tuple(cells)
 
 
 def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
@@ -352,11 +340,32 @@ def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
     cells = timing_benchmark(cfg, [4], warmup=1, measured=2)
     assert cells[0].frozen_updates == 4 * 2
     assert cells[0].diverged_evals == 0
-    cells.append(BenchCell("direct", 4, 10, 0.5, 0.25, 2, False, 1.5,
+    # run_experiment counts them over every iteration of every seed
+    table = run_experiment(replace(cfg, seeds=(0, 1)), tmp_path)
+    assert table.timing[0].frozen_updates == 4 * cfg.n_iterations * 2
+    assert read_timing_csv(tmp_path / "timing.csv") == table.timing
+    cells.append(TimingRow("direct", 4, 10, 0.5, 0.25, 2, False, 1.5,
                            frozen_updates=3, diverged_evals=2))
     path = tmp_path / "bench.csv"
-    write_table(path, BenchCell, cells)
-    assert read_table(path, BenchCell) == tuple(cells)
+    write_table(path, TimingRow, cells)
+    assert read_table(path, TimingRow) == tuple(cells)
+
+
+@pytest.mark.parametrize("row_type,row,edit,message", [
+    # a bench.csv row without its last two fields
+    (TimingRow, TimingRow("direct", 4, 10, 0.5, 0.25, 2, frozen_updates=3),
+     lambda lines: [lines[0], lines[1].rsplit(",", 2)[0]], "line 2: expected 10 fields, got 8"),
+    # a curves.csv row with two extra fields, after two good ones
+    (CurveRow, CurveRow("direct", 0, 0, 1.5, False),
+     lambda lines: [*lines, lines[1], lines[1] + ",1,2"], "line 4: expected 5 fields, got 7"),
+    (TimingRow, None, lambda lines: [], "line 1: expected the TimingRow header"),
+])
+def test_read_table_rejects_a_malformed_file(tmp_path, row_type, row, edit, message):
+    path = tmp_path / "table.csv"
+    write_table(path, row_type, [row] if row else [])
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+        read_table(path, row_type)
 
 
 @pytest.mark.parametrize("warmup,measured", [(-1, 1), (0, 0)])
@@ -399,18 +408,20 @@ def test_timing_benchmark_runs_an_alias_pair_once_per_n(monkeypatch):
 # Header lines of the tables, as documented under "Artifacts" in README.md.
 HEADERS = {
     CurveRow: "architecture,seed,iteration,eval_cost,diverged",
-    TimingRow: "architecture,n_agents,mean_iteration_s,median_iteration_s,n_measured,"
-               "ratio_vs_indirect",
-    BenchCell: "architecture,n_agents,t_rollout,mean_iteration_s,median_iteration_s,"
+    TimingRow: "architecture,n_agents,t_rollout,mean_iteration_s,median_iteration_s,"
                "n_measured,skipped,ratio_vs_indirect,frozen_updates,diverged_evals",
+    AgentRow: "iteration,agent,eval_cost,q_err_if_oracle_known,rcond,wall_ms_eval,"
+              "wall_ms_update,flags",
 }
 
 
 def test_table_headers_are_pinned_and_checked_on_read(tmp_path):
     run_experiment(small_config(seeds=[0]), tmp_path)
     cells = timing_benchmark(small_config(seeds=[0]), [4], warmup=0, measured=1)
-    write_table(tmp_path / "bench.csv", BenchCell, cells)
-    for name, row_type in (("curves", CurveRow), ("timing", TimingRow), ("bench", BenchCell)):
+    write_table(tmp_path / "bench.csv", TimingRow, cells)
+    tables = (("curves", CurveRow), ("timing", TimingRow), ("bench", TimingRow),
+              ("indirect/seed_0/agents", AgentRow))
+    for name, row_type in tables:
         path = tmp_path / f"{name}.csv"
         assert path.read_text().splitlines()[0] == HEADERS[row_type]
         assert read_table(path, row_type)
