@@ -30,7 +30,7 @@ _POWER_WINDOW_BYTES = 1 << 20
 
 
 class InstabilityError(RuntimeError):
-    """Raised when a spectral radius >= 1 makes a computation undefined."""
+    """Raised when a spectral radius makes a computation undefined (>= 1, or 0 for bounds)."""
 
     def __init__(self, message: str, rho: float):
         super().__init__(f"{message} (spectral radius {rho:.6g})")
@@ -182,8 +182,12 @@ def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityRepor
     tau is the maximum of ||(X / rho)^k||_2 over k = 0..max_power; for a
     nilpotent or zero matrix (rho = 0) tau defaults to one.  Powering the
     normalized matrix keeps every term of order tau, where rho^k alone
-    would underflow for small rho.  The powers are formed and their norms
-    taken a window at a time, as many powers as fit in
+    would underflow for small rho.  When the symmetric nonzero pattern of
+    X has several connected components, X is a permuted block-diagonal
+    matrix, and each power's norm is the largest of its blocks' norms; tau
+    is then taken once per distinct diagonal block (same shape and bytes),
+    on the block over the global rho.  The powers are formed and their norms
+    taken a window at a time, as many powers of a block as fit in
     ``_POWER_WINDOW_BYTES`` (1 MiB, 25 powers at n = 72, all 200 for
     n <= 25), so the working memory is O(window * n^2) whatever
     ``max_power`` is.
@@ -194,9 +198,42 @@ def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityRepor
     rho = spectral_radius(m)
     if rho <= 1e-14 or max_power < 1:
         return StabilityReport(rho=rho, tau=1.0)
-    normalized = m / rho
+    components = _components(m)
+    if len(components) == 1:
+        return StabilityReport(rho=rho, tau=max(1.0, _peak_power_norm(m / rho, max_power)))
+    blocks = {}
+    for members in components:
+        block = m[np.ix_(members, members)]
+        blocks.setdefault((block.shape, block.tobytes()), block)
+    peak = max(_peak_power_norm(block / rho, max_power) for block in blocks.values())
+    return StabilityReport(rho=rho, tau=max(1.0, peak))
+
+
+def _components(m: np.ndarray) -> list[np.ndarray]:
+    """Sorted index sets of the connected components of m's symmetric nonzero pattern.
+
+    A breadth-first search that reads each row of the pattern once: O(n^2).
+    """
+    linked = (m != 0) | (m != 0).T
+    unseen = np.ones(m.shape[0], dtype=bool)
+    components = []
+    for seed in range(m.shape[0]):
+        if not unseen[seed]:
+            continue
+        unseen[seed] = False
+        frontier, members = [seed], [[seed]]
+        while len(frontier):
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
+            unseen[frontier] = False
+            members.append(frontier)
+        components.append(np.sort(np.concatenate(members)))
+    return components
+
+
+def _peak_power_norm(normalized: np.ndarray, max_power: int) -> float:
+    """max_k ||normalized^k||_2 over k = 1..max_power, a window of powers at a time."""
     window = max(1, min(max_power, _POWER_WINDOW_BYTES // normalized.nbytes))
-    powers = np.empty((window,) + m.shape)
+    powers = np.empty((window,) + normalized.shape)
     window_peaks = []
     for start in range(0, max_power, window):
         count = min(window, max_power - start)
@@ -207,4 +244,4 @@ def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityRepor
                 # slot -1 holds the previous (full) window's last power
                 np.matmul(powers[k - 1], normalized, out=powers[k])
         window_peaks.append(np.max(np.linalg.svd(powers[:count], compute_uv=False)[:, 0]))
-    return StabilityReport(rho=rho, tau=max(1.0, float(np.max(window_peaks))))
+    return float(np.max(window_peaks))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from malspi import linalg
+from malspi.examples import default_state_block
 from malspi.linalg import (
     InstabilityError,
     lyapunov_solve,
@@ -224,3 +225,63 @@ def test_stability_report_memory_does_not_grow_with_max_power():
     finally:
         tracemalloc.stop()
     assert peak < 2 * linalg._POWER_WINDOW_BYTES
+
+
+def _permuted_block_diagonal(blocks, seed, *, keep_block_order=False):
+    """The block-diagonal matrix of ``blocks`` with its indices moved to random places.
+
+    ``keep_block_order`` interleaves the blocks but keeps each block's own
+    index order, so equal blocks stay equal as submatrices.
+    """
+    n = sum(len(b) for b in blocks)
+    m = np.zeros((n, n))
+    place = np.random.default_rng(seed).permutation(n)
+    start = 0
+    for b in blocks:
+        m[start:start + len(b), start:start + len(b)] = b
+        if keep_block_order:
+            place[start:start + len(b)].sort()
+        start += len(b)
+    out = np.empty_like(m)
+    out[np.ix_(place, place)] = m
+    return out
+
+
+JORDAN = np.array([[0.02, 1.0], [0.0, 0.02]])
+BLOCK_CASES = {
+    # example2's leader closed loop under the zero policy
+    "repeated_chain": [default_state_block(3)] * 24,
+    # normalized by the global rho 0.9, the Jordan block decays yet holds the peak
+    "unequal_radii": [np.diag([0.9, 0.3]), np.array([[0.5, 5.0], [0.0, 0.5]]),
+                      default_state_block(4, diagonal=0.6, off=0.1)],
+    "zero_block": [np.zeros((1, 1)), default_state_block(3), np.array([[0.5, 2.0], [0.0, 0.4]])],
+    # (X / rho)^k = [[1, 50 k], [0, 1]] peaks at k = 200
+    "jordan_peak_at_200": [JORDAN, np.diag([0.01, -0.02]), JORDAN, 0.01 * default_state_block(3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_stability_report_per_block_matches_dense_powers(case):
+    m = _permuted_block_diagonal(BLOCK_CASES[case], seed=len(case))
+    report = stability_report(m)
+    assert report.rho == spectral_radius(m)
+    assert report.tau == pytest.approx(_stacked_tau(m, 200), rel=1e-12, abs=0)
+    if case == "jordan_peak_at_200":
+        assert report.tau == pytest.approx(1e4, rel=1e-6)
+
+
+def test_stability_report_certifies_identical_blocks_once(monkeypatch):
+    shapes = []
+    peak_power_norm = linalg._peak_power_norm
+
+    def counted(normalized, max_power):
+        shapes.append(normalized.shape)
+        return peak_power_norm(normalized, max_power)
+
+    monkeypatch.setattr(linalg, "_peak_power_norm", counted)
+    for case, expected in [("repeated_chain", [(3, 3)]),
+                           ("jordan_peak_at_200", [(1, 1), (1, 1), (2, 2), (3, 3)])]:
+        shapes.clear()
+        m = _permuted_block_diagonal(BLOCK_CASES[case], seed=0, keep_block_order=True)
+        stability_report(m)
+        assert sorted(shapes) == expected
