@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import InstabilityError, lyapunov_solve, stability_report
+from .linalg import RHO_FLOOR, InstabilityError, lyapunov_solve, stability_report
 from .system import MultiAgentSystem, StructuredPolicy, extract_subsystem, true_q_matrix
 
 
@@ -283,7 +283,8 @@ def bound_inputs_from_subsystem(
     The (tau, rho) certificate takes the worst case over the evaluated and
     the play closed loops, measured once when both are the same policy
     object; the stationary covariance uses the evaluated loop with both
-    noise sources.  The bounds divide by rho, so rho = 0 is an InstabilityError.
+    noise sources.  The bounds divide by rho, so a rho that ``stability_report``
+    does not certify (at most ``RHO_FLOOR``) is an InstabilityError.
     """
     sub = extract_subsystem(system, eval_policy, agent_set, cost_owners=cost_owners)
     closed = sub.closed_loop()
@@ -295,7 +296,7 @@ def bound_inputs_from_subsystem(
         rep_play = stability_report(sub_play.closed_loop())
     rho = max(rep_eval.rho, rep_play.rho)
     tau = max(rep_eval.tau, rep_play.tau)
-    if rho == 0.0:
+    if rho <= RHO_FLOOR:
         raise InstabilityError(f"the bounds for agent set {list(sub.agents)} divide by rho", rho)
     p_inf = lyapunov_solve(
         closed,

@@ -27,10 +27,12 @@ _MAX_DOUBLINGS = 64
 LYAPUNOV_RESIDUAL_GATE = 1e-9
 # Bytes of matrix powers ``stability_report`` holds at once (at least one power).
 _POWER_WINDOW_BYTES = 1 << 20
+# Spectral radius at or below which ``stability_report`` measures no tau (it returns 1).
+RHO_FLOOR = 1e-14
 
 
 class InstabilityError(RuntimeError):
-    """Raised when a spectral radius makes a computation undefined (>= 1, or 0 for bounds)."""
+    """Raised when a spectral radius makes a computation undefined (>= 1, or tiny for bounds)."""
 
     def __init__(self, message: str, rho: float):
         super().__init__(f"{message} (spectral radius {rho:.6g})")
@@ -179,9 +181,9 @@ class StabilityReport:
 def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityReport:
     """Spectral radius plus an empirical transient-overshoot estimate.
 
-    tau is the maximum of ||(X / rho)^k||_2 over k = 0..max_power; for a
-    nilpotent or zero matrix (rho = 0) tau defaults to one.  Powering the
-    normalized matrix keeps every term of order tau, where rho^k alone
+    tau is the maximum of ||(X / rho)^k||_2 over k = 0..max_power; for
+    rho <= ``RHO_FLOOR`` (a nilpotent or zero matrix) tau defaults to one.
+    Powering the normalized matrix keeps every term of order tau, where rho^k alone
     would underflow for small rho.  When the symmetric nonzero pattern of
     X has several connected components, X is a permuted block-diagonal
     matrix, and each power's norm is the largest of its blocks' norms; tau
@@ -196,13 +198,10 @@ def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityRepor
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"stability_report expects a square matrix, got shape {m.shape}")
     rho = spectral_radius(m)
-    if rho <= 1e-14 or max_power < 1:
+    if rho <= RHO_FLOOR or max_power < 1:
         return StabilityReport(rho=rho, tau=1.0)
-    components = _components(m)
-    if len(components) == 1:
-        return StabilityReport(rho=rho, tau=max(1.0, _peak_power_norm(m / rho, max_power)))
     blocks = {}
-    for members in components:
+    for members in _components(m):
         block = m[np.ix_(members, members)]
         blocks.setdefault((block.shape, block.tobytes()), block)
     peak = max(_peak_power_norm(block / rho, max_power) for block in blocks.values())

@@ -374,10 +374,14 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
          "bounds needs 0 < sigma_eta <= sigma_w, got sigma_eta 0.0 and sigma_w 1.0"),
         ({"n_agents": 2, "sigma_eta": 2, "sigma_w": 1.5},
          "bounds needs 0 < sigma_eta <= sigma_w, got sigma_eta 2.0 and sigma_w 1.5"),
-        # the bounds divide by the closed-loop spectral radius, here 0
+        # the bounds divide by the closed-loop spectral radius, here 0 and
+        # 1e-100, neither above the floor at which stability_report measures tau
         ({"n_agents": 4, "example": "example2", "n_x": 1, "n_u": 1,
           "dynamics": {"a_self": [[0.0]], "coupling_scale": 0.0}},
          "the bounds for agent set [1, 2, 3, 4] divide by rho (spectral radius 0)"),
+        ({"n_agents": 4, "example": "example2", "n_x": 1, "n_u": 1,
+          "dynamics": {"a_self": [[1e-100]], "coupling_scale": 0.0}},
+         "the bounds for agent set [1, 2, 3, 4] divide by rho (spectral radius 1e-100)"),
     ]):
         path.write_text(json.dumps(config))
         result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
