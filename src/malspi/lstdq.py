@@ -10,55 +10,51 @@ error-in-variables system
     q = (Phi' (Phi - Psi_plus + F))^{-1} Phi' c_hat,
 
 computed through one partial-pivoting LU factorization, never an explicit
-inverse.  The T x d regressor rows Phi - Psi_plus + F are never held
-whole: the operator is formed one column block at a time from Phi and the
-T x m next-step samples, so one regression holds Phi, the d x d operator
-and one T x w block, (T d + d^2 + T w) * 8 bytes.  The factorization is
-gated on LAPACK's reciprocal 1-norm condition estimate (``gecon``, the
-Hager/Higham estimator), which costs O(d^2) on top of the O(d^3)
-factorization.  With zero process noise the relation holds pathwise and
-the recovery is exact up to conditioning.
+inverse.  Operator and right-hand sides are sums over samples, accumulated
+as recursive LSTD forms them: each slab of r = max(256, 4 MiB / (16 d))
+samples (at most T) adds its Phi rows times its regressor rows
+Phi - Psi_plus + F, and times its costs, into the d x d operator and the
+d x k right-hand sides, one GEMM each.  No T x d matrix is held: a
+regression holds (d^2 + 2 r d + d k) * 8 bytes whatever T is, 16.0 MB at
+d=1176 (r=256, k=12) and 453 MB at d=7260 (r=256, k=20).  The LU is gated
+on LAPACK's reciprocal 1-norm condition estimate (``gecon``,
+Hager/Higham), O(d^2) on top of O(d^3).  With zero process noise the
+relation holds pathwise and the recovery is exact up to conditioning.
 Every product and factorization runs through SciPy's BLAS/LAPACK.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .linalg import psd_project  # noqa: F401  unused; a perfbench span rebinds this name
 from .linalg import svec, svec_dim
-from .system import (
-    MultiAgentSystem,
-    StructuredPolicy,
-    TrajectoryBatch,
-    extract_subsystem,
-    u_coords,
-    x_coords,
-)
+from .system import (MultiAgentSystem, StructuredPolicy, TrajectoryBatch, extract_subsystem,
+                     require_costs_inside, u_coords, x_coords)
 
 AgentSet = tuple[int, ...]
 
 _RCOND_THRESHOLD = 1e-10
 
-# Narrowest regressor column block of the operator product, in columns.
-# Every GEMM call repacks Phi, so narrower blocks cost time; whole svec rows
-# are grouped until a block is at least this wide, and sets with d at most
-# this wide form their operator in one product.
-_BLOCK_COLUMNS = 256
+# A slab's Phi and regressor rows (two r x d arrays) take about _SLAB_BYTES;
+# at least _SLAB_MIN_ROWS samples keep each GEMM's inner dimension long.
+_SLAB_BYTES = 4 * 2**20
+_SLAB_MIN_ROWS = 256
 
 
 class UnderdeterminedError(ValueError):
     """Trajectory shorter than the feature dimension."""
 
     def __init__(self, t_length: int, required: int):
-        super().__init__(
-            f"trajectory length {t_length} is below the feature dimension; "
-            f"at least {required} samples are required"
-        )
+        super().__init__(f"trajectory length {t_length} is below the feature dimension; "
+                         f"at least {required} samples are required")
         self.t_length = t_length
         self.required = required
 
@@ -72,31 +68,29 @@ class SingularOperatorError(RuntimeError):
     """
 
     def __init__(self, detail: str, rcond: float):
-        super().__init__(
-            f"LSTDQ operator is singular or ill-conditioned ({detail}); "
-            "collect a longer trajectory or increase the exploration noise"
-        )
+        super().__init__(f"LSTDQ operator is singular or ill-conditioned ({detail}); "
+                         "collect a longer trajectory or increase the exploration noise")
         self.rcond = rcond
 
 
 @dataclass(frozen=True)
 class RegressionBundle:
-    """Features, next-step samples and costs of one restricted trajectory.
+    """Samples and costs of one restricted trajectory, (2 m + k) T * 8 bytes.
 
-    ``phi`` is the T x d feature matrix Phi and ``z_next`` the T x m
-    on-policy next-step samples [x(t+1); K x(t+1)] whose svec rows are
-    Psi_plus; the noise row ``f_row`` is constant across time.  The
-    regressor rows Phi - Psi_plus + F are formed block by block inside
-    ``LstdqOperator`` and never stored.  ``owner_costs`` is T x k:
-    column j is the unaggregated stage-cost sequence of ``cost_owners[j]``,
-    so one solve serves every owner; ``c_hat`` is their row sum.
+    The svec rows of the T x m samples ``z_now`` = [x(t); u(t)] are the
+    features Phi, those of the on-policy next-step samples ``z_next`` =
+    [x(t+1); K x(t+1)] are Psi_plus (both Fortran-ordered); ``f_row`` is
+    the constant noise row.  ``LstdqOperator`` writes Phi and the regressor
+    rows one slab at a time and stores neither.  Column j of the T x k
+    ``owner_costs`` is the stage-cost sequence of ``cost_owners[j]``, so one
+    solve serves every owner; ``c_hat`` is their row sum.
     """
 
     index_set: AgentSet
     cost_owners: AgentSet
     n_x: int
     n_u: int
-    phi: np.ndarray
+    z_now: np.ndarray
     z_next: np.ndarray
     f_row: np.ndarray
     owner_costs: np.ndarray
@@ -111,7 +105,7 @@ class RegressionBundle:
 
     @property
     def t_length(self) -> int:
-        return self.phi.shape[0]
+        return self.z_now.shape[0]
 
     @property
     def c_hat(self) -> np.ndarray:
@@ -119,53 +113,86 @@ class RegressionBundle:
         return self.owner_costs.sum(axis=1)
 
 
-def _svec_rows(z: np.ndarray, first: int = 0, stop: Optional[int] = None,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise svec of outer products z_t z_t', upper-triangle rows first..stop-1.
+def _svec_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise svec of the outer products z_t z_t', written into ``out``.
 
-    Upper-triangle row i is one block of columns, z_i z_i then sqrt(2) z_i z_j
-    for j > i, written row by row; consecutive rows are consecutive svec
-    columns.  Writes into ``out`` (T x width of the rows), else into a new
-    Fortran-ordered array; all m rows by default.  No T x m x m cube is
-    formed.
+    Upper-triangle row i is one block of columns, z_i z_i then
+    (sqrt(2) z_j) z_i for j > i, so no T x m x m cube is formed.
     """
-    m = z.shape[1]
-    stop = m if stop is None else stop
-    if out is None:
-        out = np.empty((z.shape[0], sum(m - i for i in range(first, stop))), order="F")
-    start = 0
-    for i in range(first, stop):
+    m, start, scaled = z.shape[1], 0, z * math.sqrt(2.0)
+    for i in range(m):
         np.multiply(z[:, i], z[:, i], out=out[:, start])
-        upper = out[:, start + 1 : start + m - i]
-        np.multiply(z[:, i + 1 :], math.sqrt(2.0), out=upper)
-        upper *= z[:, i : i + 1]
+        np.multiply(scaled[:, i + 1 :], z[:, i : i + 1], out=out[:, start + 1 : start + m - i])
         start += m - i
     return out
 
 
-def _row_blocks(m: int) -> list[tuple[int, int, int, int]]:
-    """Groups of whole svec rows at least ``_BLOCK_COLUMNS`` wide.
+def _f_view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols entries of a flat buffer as a Fortran-contiguous matrix."""
+    return buffer[: rows * cols].reshape((rows, cols), order="F")
 
-    Returns (first row, stop row, first column, stop column) per group; the
-    last group takes what is left and may be narrower.
+
+def _aligned_zeros(rows: int, cols: int) -> np.ndarray:
+    """A zeroed Fortran-ordered matrix whose data starts on a 64-byte boundary:
+    OpenBLAS kernels can sum in an order that follows the address."""
+    buffer = np.zeros(rows * cols + 8)
+    return _f_view(buffer[(-buffer.ctypes.data % 64) // 8 :], rows, cols)
+
+
+def _stream(bundle: RegressionBundle, costs: np.ndarray,
+            operator: Optional[np.ndarray] = None) -> np.ndarray:
+    """Phi' costs for a T x k block; with a zeroed d x d ``operator``, also
+    adds Phi' (Phi - Psi_plus + F) into it.  Every GEMM operand is
+    Fortran-contiguous, so SciPy's BLAS (the LU's thread pool) copies none.
     """
-    blocks = []
-    first = c0 = c1 = 0
-    for i in range(m):
-        c1 += m - i
-        if c1 - c0 >= _BLOCK_COLUMNS or i == m - 1:
-            blocks.append((first, i + 1, c0, c1))
-            first, c0 = i + 1, c1
-    return blocks
+    dgemm = scipy.linalg.blas.dgemm
+    t_length, d, k = bundle.t_length, bundle.d, costs.shape[1]
+    r = min(t_length, max(_SLAB_MIN_ROWS, _SLAB_BYTES // (16 * d)))
+    phi_buffer, regressor_buffer, cost_buffer = np.empty(r * d), np.empty(r * d), np.empty(r * k)
+    rhs = np.zeros((d, k), order="F")
+    for t0 in range(0, t_length, r):
+        rows = slice(t0, min(t0 + r, t_length))
+        n = rows.stop - t0
+        phi = _svec_rows(bundle.z_now[rows], _f_view(phi_buffer, n, d))
+        if operator is not None:
+            regressors = _svec_rows(bundle.z_next[rows], _f_view(regressor_buffer, n, d))
+            np.subtract(phi, regressors, out=regressors)
+            regressors += bundle.f_row
+            dgemm(1.0, phi, regressors, beta=1.0, c=operator, trans_a=True, overwrite_c=True)
+        if k:  # SciPy's dgemm rejects an empty right-hand side
+            cost = _f_view(cost_buffer, n, k)
+            cost[...] = costs[rows]
+            dgemm(1.0, phi, cost, beta=1.0, c=rhs, trans_a=True, overwrite_c=True)
+    return rhs
 
 
-def build_regression(
-    batch: TrajectoryBatch,
-    index_set: Iterable[int],
-    eval_policy: StructuredPolicy,
-    cost_owner_set: Iterable[int],
-    system: MultiAgentSystem,
-) -> RegressionBundle:
+@functools.cache
+def _dgecon() -> ctypes.CFUNCTYPE:
+    """SciPy's LAPACK ``dgecon`` taking the caller's workspace: SciPy's Python
+    wrapper allocates one per call, and the estimate can move in its last
+    bit with that workspace's address."""
+    capsule, api = scipy.linalg.cython_lapack.__pyx_capi__["dgecon"], ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(pointer(capsule, name(capsule)))
+
+
+def _rcond(lu: np.ndarray, anorm: float) -> float:
+    """Reciprocal 1-norm condition estimate of a d x d LU, 64-byte-aligned workspace."""
+    if not (lu.dtype == np.float64 and lu.flags.f_contiguous and lu.shape[0] == lu.shape[1]):
+        raise ValueError("dgecon takes a square Fortran-ordered float64 LU")
+    d, info, rcond = ctypes.c_int(lu.shape[0]), ctypes.c_int(), ctypes.c_double()
+    work, iwork = _aligned_zeros(4 * d.value, 1), np.empty(d.value, dtype=np.intc)
+    ref = ctypes.byref
+    _dgecon()(b"1", ref(d), lu.ctypes.data, ref(d), ref(ctypes.c_double(anorm)), ref(rcond),
+              work.ctypes.data, iwork.ctypes.data, ref(info))
+    return rcond.value
+
+
+def build_regression(batch: TrajectoryBatch, index_set: Iterable[int],
+                     eval_policy: StructuredPolicy, cost_owner_set: Iterable[int],
+                     system: MultiAgentSystem) -> RegressionBundle:
     """Assemble the error-in-variables regression for one agent subset.
 
     The evaluation policy is restricted to the subset, which must be closed
@@ -174,11 +201,9 @@ def build_regression(
     subset.  Raises UnderdeterminedError when the trajectory is shorter than
     the feature dimension.
     """
-    sub = extract_subsystem(system, eval_policy, index_set, cost_owners=cost_owner_set)
+    sub = extract_subsystem(system, eval_policy, index_set)  # owners' sets checked below
     agents = sub.agents
-    t_length = batch.length
-    m = sub.m
-    d = svec_dim(m)
+    t_length, m, d = batch.length, sub.m, svec_dim(sub.m)
     if t_length < d:
         raise UnderdeterminedError(t_length, d)
 
@@ -194,26 +219,18 @@ def build_regression(
     f_row = svec(sub.sigma_w**2 * (g @ g.T))
 
     owners = tuple(sorted(set(int(a) for a in cost_owner_set)))
+    require_costs_inside(system.graphs, owners, agents)
     owner_costs = np.zeros((t_length, len(owners)))
     for col, j in enumerate(owners):
         cost_set = system.graphs.cost_in_neighbors(j)
         if cost_set:
             xc = batch.x[:t_length, x_coords(cost_set, system.n_x)]
             uc = batch.u[:t_length, u_coords(cost_set, system.n_u)]
-            owner_costs[:, col] = np.einsum(
-                "ti,ij,tj->t", xc, system.s_blocks[j], xc
-            ) + np.einsum("ti,ij,tj->t", uc, system.r_blocks[j], uc)
-
-    return RegressionBundle(
-        index_set=agents,
-        cost_owners=owners,
-        n_x=system.n_x,
-        n_u=system.n_u,
-        phi=_svec_rows(z_now),
-        z_next=z_next,
-        f_row=f_row,
-        owner_costs=owner_costs,
-    )
+            owner_costs[:, col] = (np.einsum("ti,ij,tj->t", xc, system.s_blocks[j], xc)
+                                   + np.einsum("ti,ij,tj->t", uc, system.r_blocks[j], uc))
+    return RegressionBundle(index_set=agents, cost_owners=owners, n_x=system.n_x,
+                            n_u=system.n_u, z_now=z_now, z_next=z_next, f_row=f_row,
+                            owner_costs=owner_costs)
 
 
 class LstdqOperator:
@@ -224,63 +241,45 @@ class LstdqOperator:
     when the operator is all zero or not finite, when the LU has an exactly
     zero pivot, or when the reciprocal 1-norm condition estimate is not
     above ``_RCOND_THRESHOLD``; ``rcond`` keeps the estimate that passed.
-    The operator is formed one group of whole svec rows at a time: the
-    group's Psi_plus columns are written into one reusable T x w block,
-    turned into regressor columns Phi - Psi_plus + F in place, and
-    multiplied by Phi' straight into the operator's columns, so the
-    T x d regressor rows never exist.  The operator keeps its bundle, so
-    together they hold the set's working set: Phi (T x d), the d x d LU
-    and, while the operator is formed, one block of w >= ``_BLOCK_COLUMNS``
-    columns (or d, if smaller): (T d + d^2 + T w) * 8 bytes.
+    One pass over slabs of r = max(256, 4 MiB / (16 d)) samples (at most T)
+    writes each slab's Phi and regressor rows into two reusable r x d
+    buffers and adds them into the 64-byte-aligned d x d operator and the
+    owners' right-hand sides Phi' owner_costs, one GEMM each: (d^2 + 2 r d
+    + d k) * 8 bytes whatever T is, 16.0 MB at d=1176 and 453 MB at d=7260.
     """
 
     def __init__(self, bundle: RegressionBundle):
         self.bundle = bundle
-        phi, z_next, f_row = bundle.phi, bundle.z_next, bundle.f_row
-        blocks = _row_blocks(z_next.shape[1])
-        block = np.empty((bundle.t_length, max(c1 - c0 for *_, c0, c1 in blocks)), order="F")
-        operator = np.empty((bundle.d, bundle.d), order="F")
-        for first, stop, c0, c1 in blocks:
-            # Phi - Psi_plus + F, formed in place over the block's Psi_plus
-            regressors = _svec_rows(z_next, first, stop, out=block[:, : c1 - c0])
-            np.subtract(phi[:, c0:c1], regressors, out=regressors)
-            regressors += f_row[c0:c1]
-            # SciPy's BLAS, like the LU and the solves: NumPy links a second
-            # OpenBLAS, and alternating the two thread pools oversubscribes
-            # the cores.  The product lands in the operator's own columns.
-            scipy.linalg.blas.dgemm(
-                1.0, phi, regressors, trans_a=True, c=operator[:, c0:c1], overwrite_c=True
-            )
-        del block, regressors
-        # The Fortran-ordered operator is factorized in place.
-        getrf, gecon, lange = scipy.linalg.get_lapack_funcs(
-            ("getrf", "gecon", "lange"), (operator,)
-        )
+        operator = _aligned_zeros(bundle.d, bundle.d)
+        self._owner_rhs = _stream(bundle, bundle.owner_costs, operator)
+        # factorized in place
+        getrf, lange = scipy.linalg.get_lapack_funcs(("getrf", "lange"), (operator,))
         anorm = float(lange("1", operator))
         if not (0.0 < anorm < math.inf):
-            raise SingularOperatorError(
-                f"operator 1-norm {anorm:.3g}", 0.0 if anorm == 0.0 else math.nan
-            )
+            raise SingularOperatorError(f"operator 1-norm {anorm:.3g}",
+                                        0.0 if anorm == 0.0 else math.nan)
         lu, piv, info = getrf(operator, overwrite_a=True)
         if info > 0:
             raise SingularOperatorError(f"LU pivot {info} of {bundle.d} is exactly zero", 0.0)
-        rcond = float(gecon(lu, anorm, norm="1")[0])
+        rcond = _rcond(lu, anorm)
         if not rcond > _RCOND_THRESHOLD:
-            raise SingularOperatorError(
-                f"reciprocal condition estimate {rcond:.3g} <= {_RCOND_THRESHOLD:.3g}", rcond
-            )
-        self.rcond = rcond
-        self._lu = lu
-        self._piv = piv
+            raise SingularOperatorError(f"reciprocal condition estimate {rcond:.3g} <= "
+                                        f"{_RCOND_THRESHOLD:.3g}", rcond)
+        self.rcond, self._lu, self._piv = rcond, lu, piv
 
     def solve_cost(self, cost: np.ndarray) -> np.ndarray:
         """Packed Q parameters for a length-T cost sequence or a T x k block.
 
-        One product with Phi' and one LU solve serve every column: the
-        result is length d for a vector, d x k for a block, with column j
-        solving cost column j.
+        One LU solve serves every column: length d for a vector, d x k for a
+        block.  ``bundle.owner_costs`` itself reuses the right-hand sides
+        formed with the operator; any other cost streams the trajectory
+        again for Phi' cost.
         """
-        block = np.asarray(cost, dtype=float).reshape(len(cost), -1)
-        rhs = scipy.linalg.blas.dgemm(1.0, self.bundle.phi, block, trans_a=True)
-        q = scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
+        if cost is self.bundle.owner_costs:
+            rhs = self._owner_rhs
+        else:
+            block = np.asarray(cost, dtype=float).reshape(len(cost), -1)
+            rhs = _stream(self.bundle, block)
+        (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (self._lu,))  # lu_solve's checks
+        q = getrs(self._lu, self._piv, rhs)[0]  # cost more than a small set's solve
         return q[:, 0] if np.ndim(cost) == 1 else q

@@ -270,9 +270,12 @@ def run_malspi(
 
     Estimation sets are evaluated one at a time and each set's regression
     and factorization are released before the next set's are built, so the
-    evaluation step holds at most one set's (T d + d^2 + T w) * 8 bytes:
-    its features, its LU and one regressor block of w columns
-    (``LstdqOperator``), with d the largest set's feature dimension.
+    evaluation step holds at most one set's T x m samples and
+    (d^2 + 2 r d + d k) * 8 bytes: its LU, the two r x d slabs it is
+    streamed through and its k owners' right-hand sides (``LstdqOperator``;
+    r = 256 at d >= 1024), with d the largest set's feature dimension:
+    16.0 MB at d=1176, 453 MB at d=7260.  Each agent's owner terms are
+    added into one zeroed aggregate (``embed_quadratic(out=)``).
     """
     graphs = system.graphs
     n = graphs.n_agents
@@ -344,10 +347,11 @@ def run_malspi(
             if not plan.terms:
                 flags = ("empty_gradient_set",)
             elif not flags:
-                aggregate = sum(
-                    embed_quadratic(solutions[term], term[0], plan.update_set, n_x, n_u)
-                    for term in plan.terms
-                )
+                m_update = (n_x + n_u) * len(plan.update_set)
+                aggregate = np.zeros((m_update, m_update))
+                for est_set, owner in plan.terms:
+                    embed_quadratic(solutions[(est_set, owner)], est_set, plan.update_set,
+                                    n_x, n_u, out=aggregate)
                 if config.oracle_diagnostics:
                     owners = tuple(owner for _, owner in plan.terms)
                     q_error, flags = _oracle_error(

@@ -37,20 +37,20 @@ class ClosureError(ValueError):
     """Raised when exact extraction is requested on a non-closed agent set."""
 
 
+def _block_coords(agent_set: Iterable[int], size: int) -> np.ndarray:
+    """Coordinates of the agents' blocks of ``size`` in a stacked vector (sorted order)."""
+    agents = np.array(sorted(agent_set), dtype=int)
+    return ((agents[:, None] - 1) * size + np.arange(size)).ravel()
+
+
 def x_coords(agent_set: Iterable[int], n_x: int) -> np.ndarray:
     """Global state-vector coordinates of the agents in the set (sorted order)."""
-    agents = sorted(agent_set)
-    if not agents:
-        return np.zeros(0, dtype=int)
-    return np.concatenate([(a - 1) * n_x + np.arange(n_x) for a in agents])
+    return _block_coords(agent_set, n_x)
 
 
 def u_coords(agent_set: Iterable[int], n_u: int) -> np.ndarray:
     """Global control-vector coordinates of the agents in the set (sorted order)."""
-    agents = sorted(agent_set)
-    if not agents:
-        return np.zeros(0, dtype=int)
-    return np.concatenate([(a - 1) * n_u + np.arange(n_u) for a in agents])
+    return _block_coords(agent_set, n_u)
 
 
 def z_embedding_indices(
@@ -75,13 +75,19 @@ def z_embedding_indices(
 
 
 def embed_quadratic(
-    q_small: np.ndarray, small_set: Iterable[int], big_set: Iterable[int], n_x: int, n_u: int
+    q_small: np.ndarray, small_set: Iterable[int], big_set: Iterable[int], n_x: int, n_u: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Zero-pad a quadratic form on the small set's (x, u) coordinates to the big set's."""
+    """Zero-pad a quadratic form on the small set's (x, u) coordinates to the big set's.
+
+    With ``out`` (m x m on the big set), ``q_small`` is added into its block
+    of ``out`` in place, and ``out`` is returned.
+    """
     idx = z_embedding_indices(small_set, big_set, n_x, n_u)
-    m_big = (n_x + n_u) * len(set(big_set))
-    out = np.zeros((m_big, m_big))
-    out[np.ix_(idx, idx)] = q_small
+    if out is None:
+        m_big = (n_x + n_u) * len(set(big_set))
+        out = np.zeros((m_big, m_big))
+    out[np.ix_(idx, idx)] += q_small
     return out
 
 
@@ -379,6 +385,17 @@ class Subsystem:
         return float(x @ self.s @ x + u @ self.r @ u)
 
 
+def require_costs_inside(graphs: CouplingGraphs, owners: Iterable[int],
+                         agents: AgentSet) -> None:
+    """Raise ClosureError unless every owner's cost in-neighbors lie in ``agents``."""
+    for j in owners:
+        outside = [c for c in graphs.cost_in_neighbors(j) if c not in agents]
+        if outside:
+            raise ClosureError(
+                f"cost owner {j} depends on agents {outside} outside the index set {agents}"
+            )
+
+
 def extract_subsystem(
     system: MultiAgentSystem,
     policy: StructuredPolicy,
@@ -408,24 +425,19 @@ def extract_subsystem(
     owners = tuple(sorted(set(int(a) for a in cost_owners)))
     xs = x_coords(agents, system.n_x)
     us = u_coords(agents, system.n_u)
-    a_sub = system.a[np.ix_(xs, xs)]
-    b_sub = system.b[np.ix_(xs, us)]
-    k_sub = policy.gain[np.ix_(us, xs)]
+    a_sub = system.a[xs[:, None], xs]
+    b_sub = system.b[xs[:, None], us]
+    k_sub = policy.gain[us[:, None], xs]
 
     dim_x = len(xs)
     dim_u = len(us)
     s_sub = np.zeros((dim_x, dim_x))
     r_sub = np.zeros((dim_u, dim_u))
-    member_set = set(agents)
     scale = 1.0 / system.n_agents if average else 1.0
     pos = {a: k for k, a in enumerate(agents)}
+    require_costs_inside(system.graphs, owners, agents)
     for j in owners:
         cost_set = system.graphs.cost_in_neighbors(j)
-        outside = [c for c in cost_set if c not in member_set]
-        if outside:
-            raise ClosureError(
-                f"cost owner {j} depends on agents {outside} outside the index set {agents}"
-            )
         if not cost_set:
             continue
         x_idx = np.concatenate(

@@ -1,12 +1,17 @@
 """Example generators, configuration, experiment runner, CSV artifacts."""
+import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import malspi
 from malspi.config import ConfigError, ExperimentConfig, load_config, parse_config
 from malspi.examples import (
     CostConfig,
@@ -443,3 +448,35 @@ def test_experiment_writes_every_csv_through_one_call_site(tmp_path, monkeypatch
     run_experiment(cfg, tmp_path)
     cells = [f"{a}/seed_{s}/agents.csv" for a in cfg.architectures for s in cfg.seeds]
     assert written == [*cells, "curves.csv", "timing.csv"]
+
+
+# One run_experiment cell in a fresh interpreter, after holding a number of
+# small arrays that moves every later heap allocation.
+_CELL_SCRIPT = """
+import json, sys
+import numpy as np
+held = [np.empty(n) for n in range(int(sys.argv[2]))]
+from malspi.config import parse_config
+from malspi.runner import run_experiment
+run_experiment(parse_config(json.loads(sys.argv[3])), sys.argv[1])
+"""
+
+
+def test_recorded_rcond_is_byte_equal_across_processes(tmp_path):
+    # centralized example1 N=8, n_x=n_u=2: one d=528 set, whose condition
+    # estimate moved in its last bit with the LAPACK workspace's address
+    config = {"n_agents": 8, "example": "example1", "n_x": 2, "n_u": 2,
+              "dynamics": {"a_self": [[0.85, 0.01], [0.01, 0.85]]}, "t_rollout": 578,
+              "t_eval": 100, "n_iterations": 3, "alpha": 4e-7, "seeds": [0],
+              "architectures": ["centralized"]}
+    src = str(Path(malspi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    columns = []
+    for held in (0, 301):
+        out = tmp_path / f"held_{held}"
+        subprocess.run([sys.executable, "-c", _CELL_SCRIPT, str(out), str(held),
+                        json.dumps(config)], check=True, env=env, timeout=300)
+        with open(out / "centralized" / "seed_0" / "agents.csv", newline="") as fh:
+            columns.append([row["rcond"] for row in csv.DictReader(fh)])
+    assert len(columns[0]) == 24 and all(columns[0])
+    assert columns[0] == columns[1]

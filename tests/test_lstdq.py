@@ -36,9 +36,29 @@ def _svec_samples(z):
     return (z[:, cols] * weights) * z[:, rows]
 
 
+def _features(bundle):
+    """The T x d features Phi, whole, from the bundle's samples."""
+    return _svec_samples(bundle.z_now)
+
+
 def _regressor_rows(bundle):
     """The regressor rows Phi - Psi_plus + F the operator multiplies, whole."""
-    return bundle.phi - _svec_samples(bundle.z_next) + bundle.f_row
+    return _features(bundle) - _svec_samples(bundle.z_next) + bundle.f_row
+
+
+def _traced_peak(work):
+    """``work()`` and the peak bytes traced while it ran above those held before."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = work()
+        return result, tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def _q_matrix(bundle):
@@ -59,11 +79,11 @@ def test_feature_rows_hand_checked_smallest_instance():
     batch = rollout(system, policy, 3, 1.0, seed=0)
     bundle = build_regression(batch, (1,), policy, (1,), system)
     assert bundle.d == 3
+    phi = _features(bundle)
     for t in range(3):
         x, u = batch.x[t, 0], batch.u[t, 0]
-        np.testing.assert_allclose(
-            bundle.phi[t], [x * x, math.sqrt(2.0) * x * u, u * u], atol=1e-14
-        )
+        np.testing.assert_array_equal(bundle.z_now[t], [x, u])
+        np.testing.assert_allclose(phi[t], [x * x, math.sqrt(2.0) * x * u, u * u], atol=1e-14)
         # the zero gain's next action is 0, and f_row is 0 without noise
         xp = batch.x[t + 1, 0]
         np.testing.assert_array_equal(bundle.z_next[t], [xp, 0.0])
@@ -135,8 +155,8 @@ def test_nan_operator_raises_singular():
     system = scalar_system()
     policy = zero_policy(system.graphs, 1, 1)
     bundle = build_regression(rollout(system, policy, 20, 1.0, seed=5), (1,), policy, (1,), system)
-    bundle = replace(bundle, phi=np.full_like(bundle.phi, np.nan))
-    with pytest.raises(SingularOperatorError) as err:
+    bundle = replace(bundle, z_now=np.full_like(bundle.z_now, np.nan))
+    with pytest.raises(SingularOperatorError, match="1-norm nan") as err:
         LstdqOperator(bundle)
     assert math.isnan(err.value.rcond)
 
@@ -148,25 +168,31 @@ def test_rank_deficient_nonzero_operator_raises_singular():
     policy = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, policy, 50, 0.0, seed=11)
     bundle = build_regression(batch, (1,), policy, (1,), system)
-    assert np.any(bundle.phi != 0.0)
+    assert np.any(_features(bundle) != 0.0)
     with pytest.raises(SingularOperatorError, match="longer trajectory"):
         LstdqOperator(bundle)
 
 
 def test_nearly_dependent_columns_fail_the_condition_estimate():
-    # two feature columns equal to 1e-14 relative leave no exactly zero LU
-    # pivot; only the condition estimate can flag the operator.  The swapped
-    # Phi also enters the regressor columns Phi - Psi_plus + F, so the
-    # evaluated gain is nonzero: its Psi_plus columns x'u' and u'^2 differ,
-    # and the two regressor columns do not collapse together as well.
-    system = scalar_system()
-    play = zero_policy(system.graphs, 1, 1)
-    policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[-0.5]]})
-    bundle = build_regression(rollout(system, play, 200, 1.0, seed=12), (1,), policy, (1,), system)
-    phi = bundle.phi.copy()
-    phi[:, 2] = phi[:, 1] * (1.0 + 1e-14)
+    # x2 = +-(1 + 1e-14) and u2 = 1 make the feature columns x2^2 and u2^2
+    # equal to 1e-13 relative while x2 u2 keeps random signs; that leaves no
+    # exactly zero LU pivot, so only the condition estimate can flag the
+    # operator.  The changed Phi also enters the regressor columns
+    # Phi - Psi_plus + F; the evaluated gain is nonzero, so their Psi_plus
+    # columns x2'^2 and u2'^2 differ and do not collapse together as well.
+    rng = np.random.default_rng(12)
+    g = generate_example1(2)
+    system = random_system(rng, g, 1, 1)
+    policy = random_stabilizing_policy(rng, system)
+    batch = rollout(system, zero_policy(g, 1, 1), 200, 1.0, seed=12)
+    bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
+    z_now = bundle.z_now.copy(order="F")  # columns x1, x2, u1, u2
+    z_now[:, 1] = np.sign(z_now[:, 1]) * (1.0 + 1e-14)
+    z_now[:, 3] = 1.0
+    phi = _features(replace(bundle, z_now=z_now))  # x2^2 is column 4, u2^2 column 9
+    np.testing.assert_allclose(phi[:, 4], phi[:, 9], rtol=1e-13)
     with pytest.raises(SingularOperatorError, match="condition estimate") as err:
-        LstdqOperator(replace(bundle, phi=phi))
+        LstdqOperator(replace(bundle, z_now=z_now))
     assert 0.0 <= err.value.rcond <= 1e-10
 
 
@@ -178,10 +204,11 @@ def test_lu_solve_matches_least_squares_reference():
     batch = rollout(system, zero_policy(g, 1, 1), 2000, 1.0, seed=14)
     bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
     op = LstdqOperator(bundle)
-    operator = bundle.phi.T @ _regressor_rows(bundle)
+    phi = _features(bundle)
+    operator = phi.T @ _regressor_rows(bundle)
     assert op.rcond > 1e-6
     for cost in [bundle.c_hat, *bundle.owner_costs.T]:
-        reference = scipy.linalg.lstsq(operator, bundle.phi.T @ cost)[0]
+        reference = scipy.linalg.lstsq(operator, phi.T @ cost)[0]
         np.testing.assert_allclose(op.solve_cost(cost), reference, rtol=1e-10, atol=0.0)
 
 
@@ -201,6 +228,9 @@ def test_solve_cost_block_matches_single_column_solves():
     for col, cost in enumerate(bundle.owner_costs.T):
         single = op.solve_cost(cost)
         assert np.linalg.norm(block[:, col] - single) <= 1e-12 * np.linalg.norm(single)
+    # another array with the same values streams the trajectory again, and
+    # the same slab products give the same right-hand sides bit for bit
+    np.testing.assert_array_equal(op.solve_cost(bundle.owner_costs.copy()), block)
 
 
 def test_feature_and_regressor_rows_match_per_sample_svec():
@@ -211,15 +241,15 @@ def test_feature_and_regressor_rows_match_per_sample_svec():
     batch = rollout(system, zero_policy(g, 2, 1), 60, 1.0, seed=22)
     agents = (1, 2, 3)
     bundle = build_regression(batch, agents, policy, agents, system)
-    assert bundle.phi.flags.f_contiguous and bundle.z_next.flags.f_contiguous
+    assert bundle.z_now.flags.f_contiguous and bundle.z_next.flags.f_contiguous
     xs, us = batch.states(agents), batch.controls(agents)
     k = extract_subsystem(system, policy, agents).k
-    psi = _svec_samples(bundle.z_next)
+    phi, psi = _features(bundle), _svec_samples(bundle.z_next)
     for t in range(batch.length):
         z = np.concatenate([xs[t], us[t]])
         z_next = np.concatenate([xs[t + 1], k @ xs[t + 1]])
-        phi = svec(np.outer(z, z))
-        np.testing.assert_allclose(bundle.phi[t], phi, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(bundle.z_now[t], z)
+        np.testing.assert_allclose(phi[t], svec(np.outer(z, z)), rtol=1e-15, atol=0.0)
         # K x(t+1) is one product over all samples here and per sample above
         np.testing.assert_allclose(
             bundle.z_next[t], z_next, rtol=1e-13, atol=1e-13 * np.abs(z_next).max()
@@ -227,47 +257,56 @@ def test_feature_and_regressor_rows_match_per_sample_svec():
         np.testing.assert_allclose(
             psi[t], svec(np.outer(z_next, z_next)), rtol=1e-13, atol=1e-13 * np.abs(psi).max()
         )
-    # the operator's blocks of Psi_plus columns are whole svec rows, bit for bit
-    m = bundle.z_next.shape[1]
-    np.testing.assert_array_equal(lstdq._svec_rows(bundle.z_next), psi)
-    for first, stop, c0, c1 in [(0, 1, 0, m), (2, 5, 2 * m - 1, 5 * m - 10), (m - 1, m, bundle.d - 1, bundle.d)]:
-        np.testing.assert_array_equal(lstdq._svec_rows(bundle.z_next, first, stop), psi[:, c0:c1])
+    # the operator's slab writer gives the same rows bit for bit, whole or
+    # for any slab of samples
+    for z, rows in [(bundle.z_now, phi), (bundle.z_next, psi)]:
+        for t0, t1 in [(0, 60), (0, 1), (17, 43)]:
+            out = np.empty((t1 - t0, bundle.d), order="F")
+            np.testing.assert_array_equal(lstdq._svec_rows(z[t0:t1], out), rows[t0:t1])
 
 
-def _greedy_row_blocks(m, width):
-    """Column ranges of consecutive whole svec rows, each grouped until it is
-    at least ``width`` wide; the rest forms the last range."""
-    blocks, c0, c1 = [], 0, 0
-    for i in range(m):
-        c1 += m - i
-        if c1 - c0 >= width or i == m - 1:
-            blocks.append((c0, c1))
-            c0 = c1
-    return blocks
+def _slab_reference(bundle, slab):
+    """Operator and owners' right-hand sides summed over slabs of ``slab``
+    samples cut from the whole feature and regressor rows, each slab one
+    GEMM with beta = 1, in 64-byte-aligned storage like the operator's."""
+    dgemm = scipy.linalg.blas.dgemm
+    phi, regressors = _features(bundle), _regressor_rows(bundle)
+    operator = lstdq._aligned_zeros(bundle.d, bundle.d)
+    rhs = np.zeros((bundle.d, bundle.owner_costs.shape[1]), order="F")
+    for t0 in range(0, bundle.t_length, slab):
+        rows = slice(t0, t0 + slab)
+        phi_slab = np.asfortranarray(phi[rows])
+        dgemm(1.0, phi_slab, np.asfortranarray(regressors[rows]), beta=1.0, c=operator,
+              trans_a=True, overwrite_c=True)
+        dgemm(1.0, phi_slab, np.asfortranarray(bundle.owner_costs[rows]), beta=1.0, c=rhs,
+              trans_a=True, overwrite_c=True)
+    return operator, rhs
 
 
-def _reference_solve(bundle, operator):
+def _reference_solve(operator, rhs):
     lu, piv, info = scipy.linalg.lapack.dgetrf(operator)
     assert info == 0
-    rhs = scipy.linalg.blas.dgemm(1.0, bundle.phi, bundle.owner_costs, trans_a=True)
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 @pytest.mark.parametrize(
-    "n_agents,n_x,n_u,width",
+    "n_agents,n_x,n_u,slab",
     [
-        (2, 2, 1, None),  # d = 21, below one block: one product, as before blocking
-        (4, 4, 2, None),  # d = 300 in blocks of 264 and 36 at the module's width
-        (4, 2, 1, 23),  # d = 78 in blocks of exactly 23, then 27, 25 and 3
-        (4, 2, 1, 40),  # d = 78 in blocks of 42 and 36
+        (2, 2, 1, None),  # d = 21, T = 61 within the module's slab: one product
+        (4, 4, 2, None),  # d = 300, T = 340 within the module's slab: one product
+        (4, 2, 1, 118),  # d = 78, T = 118 in one slab of every sample
+        (4, 2, 1, 59),  # two slabs of 59
+        (4, 2, 1, 40),  # uneven slabs: 40, 40 and 38
+        (4, 2, 1, 23),  # uneven slabs: five of 23, then 3
+        (4, 2, 1, 1),  # one sample per slab
     ],
 )
 def test_blocked_operator_matches_a_reference_from_per_sample_rows(
-    monkeypatch, n_agents, n_x, n_u, width
+    monkeypatch, n_agents, n_x, n_u, slab
 ):
-    if width is not None:
-        monkeypatch.setattr(lstdq, "_BLOCK_COLUMNS", width)
-    width = lstdq._BLOCK_COLUMNS
+    if slab is not None:
+        monkeypatch.setattr(lstdq, "_SLAB_BYTES", 0)
+        monkeypatch.setattr(lstdq, "_SLAB_MIN_ROWS", slab)
     rng = np.random.default_rng(23)
     g = generate_example1(n_agents)
     system = random_system(rng, g, n_x, n_u)
@@ -276,54 +315,68 @@ def test_blocked_operator_matches_a_reference_from_per_sample_rows(
     m = (n_x + n_u) * n_agents
     batch = rollout(system, zero_policy(g, n_x, n_u), svec_dim(m) + 40, 1.0, seed=24)
     bundle = build_regression(batch, agents, policy, agents, system)
-    regressors = _regressor_rows(bundle)
-    one_product = scipy.linalg.blas.dgemm(1.0, bundle.phi, regressors, trans_a=True)
-    blocks = _greedy_row_blocks(m, width)
-    assert (len(blocks) == 1) == (bundle.d <= width) and blocks[-1][1] == bundle.d
-    by_block = np.empty((bundle.d, bundle.d), order="F")
-    for c0, c1 in blocks:
-        by_block[:, c0:c1] = scipy.linalg.blas.dgemm(
-            1.0, bundle.phi, np.asfortranarray(regressors[:, c0:c1]), trans_a=True
-        )
+    t_length = bundle.t_length
+    slab = t_length if slab is None else slab
+    assert min(t_length, max(lstdq._SLAB_MIN_ROWS, lstdq._SLAB_BYTES // (16 * bundle.d))) == slab
     q = LstdqOperator(bundle).solve_cost(bundle.owner_costs)
-    # Bit for bit against the same column blocks of the whole regressor rows;
-    # with one block that is the one product itself.
-    np.testing.assert_array_equal(q, _reference_solve(bundle, by_block))
-    if len(blocks) == 1:
-        np.testing.assert_array_equal(by_block, one_product)
-    # BLAS may sum a column in another order when it is computed in a
-    # narrower product, so against the one product only to rounding.
-    reference = _reference_solve(bundle, one_product)
+    # Bit for bit against the same slabs of the whole rows.
+    operator, rhs = _slab_reference(bundle, slab)
+    np.testing.assert_array_equal(q, _reference_solve(operator, rhs))
+    phi = _features(bundle)
+    one_operator = scipy.linalg.blas.dgemm(1.0, phi, _regressor_rows(bundle), trans_a=True)
+    one_rhs = scipy.linalg.blas.dgemm(1.0, phi, bundle.owner_costs, trans_a=True)
+    if slab >= t_length:  # one slab is the one product itself
+        np.testing.assert_array_equal(operator, one_operator)
+        np.testing.assert_array_equal(rhs, one_rhs)
+    # BLAS sums a column in another order when T is cut into slabs, so
+    # against the one product only to rounding.
+    reference = _reference_solve(one_operator, one_rhs)
     assert np.linalg.norm(q - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+def _full_set_regression(n_agents, t_extra=50, t_scale=1):
+    """example1 with n_x = n_u = 2, every agent, T = t_scale * (d + t_extra)."""
+    g = generate_example1(n_agents)
+    system = build_example_system(g, n_x=2, n_u=2)
+    policy = zero_policy(g, 2, 2)
+    agents = tuple(g.agents)
+    t_length = t_scale * (svec_dim(4 * n_agents) + t_extra)
+    batch = rollout(system, policy, t_length, 1.0, seed=25)
+    return batch, agents, policy, system
 
 
 def test_operator_holds_one_regressor_block_not_the_rows():
     # The full_set size: example1, N=12, n_x=n_u=2, all agents, T = d + 50.
-    g = generate_example1(12)
-    system = build_example_system(g, n_x=2, n_u=2)
-    policy = zero_policy(g, 2, 2)
-    agents = tuple(g.agents)
-    m, d = 48, svec_dim(48)
-    batch = rollout(system, policy, d + 50, 1.0, seed=25)
-    t = batch.length
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        bundle = build_regression(batch, agents, policy, agents, system)
-        LstdqOperator(bundle).solve_cost(bundle.owner_costs)
-        peak = tracemalloc.get_traced_memory()[1] - baseline
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert bundle.d == d
-    # Phi, the operator and one block of whole svec rows, the widest of which
-    # passes the block width by less than one row of m columns.
-    block = t * (lstdq._BLOCK_COLUMNS + m - 1) * 8
-    limit = (t * d + d * d) * 8 + block + 2**20
+    batch, agents, policy, system = _full_set_regression(12)
+    bundle = build_regression(batch, agents, policy, agents, system)
+    d = bundle.d
+    r = lstdq._SLAB_MIN_ROWS
+    assert d == 1176 and lstdq._SLAB_BYTES // (16 * d) < r < bundle.t_length
+    _, peak = _traced_peak(lambda: LstdqOperator(bundle).solve_cost(bundle.owner_costs))
+    # the operator and one Phi slab and one regressor slab of r rows
+    limit = (d * d + 2 * r * d) * 8 + 2**20
     assert peak < limit, f"peak {peak / 2**20:.1f} MiB >= {limit / 2**20:.1f} MiB"
+
+
+def test_regression_peak_grows_with_t_only_by_the_samples():
+    # d = 666 streams in slabs of r = 393 < T rows, so a 4x longer
+    # trajectory adds only the longer T x m samples and T x k costs.
+    peaks, sample_bytes = [], []
+    for t_scale in (1, 4):
+        batch, agents, policy, system = _full_set_regression(9, t_scale=t_scale)
+
+        def regression():
+            bundle = build_regression(batch, agents, policy, agents, system)
+            LstdqOperator(bundle).solve_cost(bundle.owner_costs)
+            return bundle
+
+        bundle, peak = _traced_peak(regression)
+        assert lstdq._SLAB_BYTES // (16 * bundle.d) < bundle.t_length
+        peaks.append(peak)
+        sample_bytes.append(bundle.z_now.nbytes + bundle.z_next.nbytes + bundle.owner_costs.nbytes)
+    growth = peaks[1] - peaks[0]
+    limit = sample_bytes[1] - sample_bytes[0] + 2**20
+    assert growth <= limit, f"growth {growth / 2**20:.2f} MiB > {limit / 2**20:.2f} MiB"
 
 
 def test_operator_keeps_the_condition_estimate():
@@ -333,7 +386,7 @@ def test_operator_keeps_the_condition_estimate():
     policy = zero_policy(g, 1, 1)
     bundle = build_regression(rollout(system, policy, 500, 1.0, seed=16), (1, 2), policy,
                               (1, 2), system)
-    operator = bundle.phi.T @ _regressor_rows(bundle)
+    operator = _features(bundle).T @ _regressor_rows(bundle)
     # the Hager/Higham estimate bounds the true reciprocal 1-norm condition from above
     true_rcond = 1.0 / np.linalg.cond(operator, 1)
     assert true_rcond * (1 - 1e-8) <= LstdqOperator(bundle).rcond <= 10.0 * true_rcond

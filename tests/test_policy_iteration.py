@@ -8,7 +8,7 @@ import pytest
 from malspi import lstdq, policy_iteration
 from malspi import system as system_mod
 from malspi.graphs import build_coupling_graphs, dependency_sets
-from malspi.examples import build_example_system, generate_example1
+from malspi.examples import build_example_system, generate_example1, generate_example2
 from malspi.linalg import InstabilityError, psd_project
 from malspi.policy_iteration import (
     Architecture,
@@ -275,6 +275,33 @@ def test_forced_full_sets_collapse_architectures_bitwise():
         for got, want in zip(records, reference):
             assert got.gain.tobytes() == want.gain.tobytes()
             assert got.eval_cost == want.eval_cost
+
+
+def test_in_place_aggregate_is_bitwise_the_sum_of_embedded_terms(monkeypatch):
+    # example2's leader under indirect sums one owner term per agent; every
+    # aggregate run_malspi floors must equal the sum of zero-padded terms
+    g = generate_example2(5)
+    system = build_example_system(g, n_x=1, n_u=1)
+    cfg = MalspiConfig(n_iterations=2, t_rollout=150, t_eval=50, alpha=1e-4, seed=13,
+                       k0=zero_policy(g, 1, 1))
+    terms, checked = [], []
+    real_embed, real_project = policy_iteration.embed_quadratic, policy_iteration.psd_project
+
+    def recorded_embed(q_small, small_set, big_set, n_x, n_u, out=None):
+        terms.append((q_small.copy(), small_set, big_set, out))
+        return real_embed(q_small, small_set, big_set, n_x, n_u, out=out)
+
+    def checked_project(aggregate, zeta):
+        own = [t for t in terms if t[3] is aggregate]
+        summed = sum(real_embed(q, small, big, 1, 1) for q, small, big, _ in own)
+        assert aggregate.tobytes() == summed.tobytes()
+        checked.append(len(own))
+        return real_project(aggregate, zeta)
+
+    monkeypatch.setattr(policy_iteration, "embed_quadratic", recorded_embed)
+    monkeypatch.setattr(policy_iteration, "psd_project", checked_project)
+    run_malspi(system, Architecture.INDIRECT, cfg)
+    assert len(checked) == 2 * 5 and max(checked) == 5
 
 
 def test_architecture_plan_layouts():
