@@ -26,7 +26,7 @@ from .bounds import bound_inputs_from_subsystem, sample_bound_direct, sample_bou
 from .config import ConfigError, ExperimentConfig, load_config
 from .config import parse_config  # noqa: F401  unused; a perfbench span rebinds this name
 from .graphs import CouplingGraphs, dependency_sets, graphical_conditions
-from .policy_iteration import ARCHITECTURE_NAMES
+from .policy_iteration import Architecture
 from .linalg import InstabilityError
 from .runner import TimingRow, run_experiment, timing_benchmark, write_table
 from .system import extract_subsystem, zero_policy
@@ -129,7 +129,7 @@ _arch_opt = click.option(
     "--arch",
     "archs",
     multiple=True,
-    type=click.Choice(list(ARCHITECTURE_NAMES)),
+    type=click.Choice([a.value for a in Architecture]),
     help="Override config architectures.",
 )
 _n_opt = click.option("--n-agents", type=int, default=None, help="Override agent count.")

@@ -165,10 +165,9 @@ class ExperimentConfig:
     alpha: float = MalspiConfig.alpha
     zeta: float = MalspiConfig.zeta
     sigma0: float = MalspiConfig.sigma0
-    architectures: tuple[str, ...] = ("indirect", "direct", "undecomposed_direct", "centralized")
+    architectures: tuple[str, ...] = ("indirect", "direct", "centralized")
     seeds: tuple[int, ...] = (0,)
     output_dir: Optional[str] = None
-    force_full_sets: bool = MalspiConfig.force_full_sets
     oracle_diagnostics: bool = MalspiConfig.oracle_diagnostics
 
     def __post_init__(self):
@@ -195,7 +194,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} lists {repeated} more than once")
         if self.n_agents < 1:
             raise ConfigError(f"n_agents must be positive, got {self.n_agents}")
-        for key in ("n_iterations", "sigma_w", "sigma_eta", "sigma0", "zeta"):
+        for key in ("n_iterations", "sigma_w", "sigma_eta", "sigma0", "alpha", "zeta"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)!r}")
         for key in ("n_x", "n_u", "t_rollout", "t_eval"):

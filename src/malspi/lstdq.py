@@ -4,13 +4,15 @@ Policy evaluation works off-policy from one trajectory.  For a stacked
 sample z_t = [x_set(t); u_set(t)] the feature row is phi_t = svec(z_t z_t'),
 the on-policy next-step row psi_{t+1} uses x_set(t+1) with the evaluation
 gain's action, and a constant noise row f = svec(sigma_w^2 [I; K][I; K]')
-absorbs the average-cost offset.  The packed Q parameter solves the
-error-in-variables system
+absorbs the average-cost offset.  The packed Q parameters of the cost
+owners solve the error-in-variables system
 
-    q = (Phi' (Phi - Psi_plus + F))^{-1} Phi' c_hat,
+    Q = (Phi' (Phi - Psi_plus + F))^{-1} Phi' C,
 
-computed through one partial-pivoting LU factorization, never an explicit
-inverse.  Operator and right-hand sides are sums over samples, accumulated
+column j of the T x k block C being owner j's stage costs, computed through
+one partial-pivoting LU factorization, never an explicit inverse.  The
+solve is linear in the cost, so an owner set's aggregate is the row sum of
+Q.  Operator and right-hand sides are sums over samples, accumulated
 as recursive LSTD forms them: each slab of r = max(256, 4 MiB / (16 d))
 samples (at most T) adds its Phi rows times its regressor rows
 Phi - Psi_plus + F, and times its costs, into the d x d operator and the
@@ -28,7 +30,7 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 import scipy.linalg
@@ -83,7 +85,7 @@ class RegressionBundle:
     the constant noise row.  ``LstdqOperator`` writes Phi and the regressor
     rows one slab at a time and stores neither.  Column j of the T x k
     ``owner_costs`` is the stage-cost sequence of ``cost_owners[j]``, so one
-    solve serves every owner; ``c_hat`` is their row sum.
+    solve serves every owner.
     """
 
     index_set: AgentSet
@@ -106,11 +108,6 @@ class RegressionBundle:
     @property
     def t_length(self) -> int:
         return self.z_now.shape[0]
-
-    @property
-    def c_hat(self) -> np.ndarray:
-        """Aggregated cost sequence over every owner."""
-        return self.owner_costs.sum(axis=1)
 
 
 def _svec_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -139,13 +136,14 @@ def _aligned_zeros(rows: int, cols: int) -> np.ndarray:
     return _f_view(buffer[(-buffer.ctypes.data % 64) // 8 :], rows, cols)
 
 
-def _stream(bundle: RegressionBundle, costs: np.ndarray,
-            operator: Optional[np.ndarray] = None) -> np.ndarray:
-    """Phi' costs for a T x k block; with a zeroed d x d ``operator``, also
-    adds Phi' (Phi - Psi_plus + F) into it.  Every GEMM operand is
-    Fortran-contiguous, so SciPy's BLAS (the LU's thread pool) copies none.
+def _stream(bundle: RegressionBundle, operator: np.ndarray) -> np.ndarray:
+    """Add Phi' (Phi - Psi_plus + F) into the zeroed d x d ``operator`` and
+    return the owners' d x k right-hand sides Phi' owner_costs.  Every GEMM
+    operand is Fortran-contiguous, so SciPy's BLAS (the LU's thread pool)
+    copies none.
     """
     dgemm = scipy.linalg.blas.dgemm
+    costs = bundle.owner_costs
     t_length, d, k = bundle.t_length, bundle.d, costs.shape[1]
     r = min(t_length, max(_SLAB_MIN_ROWS, _SLAB_BYTES // (16 * d)))
     phi_buffer, regressor_buffer, cost_buffer = np.empty(r * d), np.empty(r * d), np.empty(r * k)
@@ -154,11 +152,10 @@ def _stream(bundle: RegressionBundle, costs: np.ndarray,
         rows = slice(t0, min(t0 + r, t_length))
         n = rows.stop - t0
         phi = _svec_rows(bundle.z_now[rows], _f_view(phi_buffer, n, d))
-        if operator is not None:
-            regressors = _svec_rows(bundle.z_next[rows], _f_view(regressor_buffer, n, d))
-            np.subtract(phi, regressors, out=regressors)
-            regressors += bundle.f_row
-            dgemm(1.0, phi, regressors, beta=1.0, c=operator, trans_a=True, overwrite_c=True)
+        regressors = _svec_rows(bundle.z_next[rows], _f_view(regressor_buffer, n, d))
+        np.subtract(phi, regressors, out=regressors)
+        regressors += bundle.f_row
+        dgemm(1.0, phi, regressors, beta=1.0, c=operator, trans_a=True, overwrite_c=True)
         if k:  # SciPy's dgemm rejects an empty right-hand side
             cost = _f_view(cost_buffer, n, k)
             cost[...] = costs[rows]
@@ -236,8 +233,8 @@ def build_regression(batch: TrajectoryBatch, index_set: Iterable[int],
 class LstdqOperator:
     """Factorized regression operator Phi' (Phi - Psi_plus + F).
 
-    Factorizes once with partial-pivoting LU and solves for any number of
-    cost right-hand sides.  Raises SingularOperatorError at construction
+    Factorizes once with partial-pivoting LU and solves it once for every
+    cost owner of the bundle.  Raises SingularOperatorError at construction
     when the operator is all zero or not finite, when the LU has an exactly
     zero pivot, or when the reciprocal 1-norm condition estimate is not
     above ``_RCOND_THRESHOLD``; ``rcond`` keeps the estimate that passed.
@@ -251,7 +248,7 @@ class LstdqOperator:
     def __init__(self, bundle: RegressionBundle):
         self.bundle = bundle
         operator = _aligned_zeros(bundle.d, bundle.d)
-        self._owner_rhs = _stream(bundle, bundle.owner_costs, operator)
+        self._owner_rhs = _stream(bundle, operator)
         # factorized in place
         getrf, lange = scipy.linalg.get_lapack_funcs(("getrf", "lange"), (operator,))
         anorm = float(lange("1", operator))
@@ -267,19 +264,11 @@ class LstdqOperator:
                                         f"{_RCOND_THRESHOLD:.3g}", rcond)
         self.rcond, self._lu, self._piv = rcond, lu, piv
 
-    def solve_cost(self, cost: np.ndarray) -> np.ndarray:
-        """Packed Q parameters for a length-T cost sequence or a T x k block.
+    def solve_cost(self) -> np.ndarray:
+        """The d x k packed Q parameters, column j for ``bundle.cost_owners[j]``.
 
-        One LU solve serves every column: length d for a vector, d x k for a
-        block.  ``bundle.owner_costs`` itself reuses the right-hand sides
-        formed with the operator; any other cost streams the trajectory
-        again for Phi' cost.
+        One LU solve of the right-hand sides streamed with the operator
+        serves every owner; the owners' aggregate is the row sum.
         """
-        if cost is self.bundle.owner_costs:
-            rhs = self._owner_rhs
-        else:
-            block = np.asarray(cost, dtype=float).reshape(len(cost), -1)
-            rhs = _stream(self.bundle, block)
         (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (self._lu,))  # lu_solve's checks
-        q = getrs(self._lu, self._piv, rhs)[0]  # cost more than a small set's solve
-        return q[:, 0] if np.ndim(cost) == 1 else q
+        return getrs(self._lu, self._piv, self._owner_rhs)[0]  # cost more than a small set's solve

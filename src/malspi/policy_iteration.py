@@ -11,18 +11,13 @@ estimated:
 * ``indirect``     on each owner's own value dependence set
 * ``centralized``  on the full agent set
 
-``undecomposed_direct`` (the direct estimator without the decomposition)
-also estimates every owner's Q-function on the full agent set, so it is a
-second name for ``centralized``: ``Architecture.parse`` maps it there and
-the experiment runner runs the pair once.
-
 Each iteration factorizes one regression per estimation set and solves it
 once for every cost owner estimated there (one multi-right-hand-side
 solve).  An agent's update sums the owners' Q matrices over its gradient
 dependence set, embedded into its update set, floors the sum's
 eigenvalues, and descends the resulting quadratic; the new rows of every
-agent are assembled into one policy.  Forcing every dependence set to the
-full agent set therefore collapses every architecture onto the identical
+agent are assembled into one policy.  With every dependence set equal to
+the full agent set, every architecture is therefore the identical
 computation.  Solves are shared across agents that use the same
 estimation set, which never changes any agent's result.
 """
@@ -66,19 +61,12 @@ class Architecture(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Architecture":
-        """The architecture a configured name runs; aliases resolve here."""
+        """The architecture a configured name runs."""
         try:
-            return ARCHITECTURE_NAMES[name]
-        except KeyError:
-            valid = ", ".join(ARCHITECTURE_NAMES)
+            return cls(name)
+        except ValueError:
+            valid = ", ".join(a.value for a in cls)
             raise ValueError(f"unknown architecture {name!r}; expected one of: {valid}") from None
-
-
-# Every accepted architecture name and the architecture it runs.
-ARCHITECTURE_NAMES: dict[str, Architecture] = {
-    **{a.value: a for a in Architecture},
-    "undecomposed_direct": Architecture.CENTRALIZED,
-}
 
 
 @dataclass(frozen=True)
@@ -179,7 +167,6 @@ class MalspiConfig:
     seed: int = 0
     sigma0: float = 1.0
     k0: Optional[StructuredPolicy] = None
-    force_full_sets: bool = False
     oracle_diagnostics: bool = False
 
 
@@ -251,7 +238,7 @@ def _evaluate_set(
         op = LstdqOperator(bundle)
     except SingularOperatorError as err:
         return ("singular",), err.rcond, None
-    return (), op.rcond, op.solve_cost(bundle.owner_costs)
+    return (), op.rcond, op.solve_cost()
 
 
 def run_malspi(
@@ -285,8 +272,7 @@ def run_malspi(
     if rho0 >= 1.0:
         raise InstabilityError("initial policy does not stabilize the system", rho0)
 
-    deps = DependencySets.full(n) if config.force_full_sets else dependency_sets(graphs)
-    plans = architecture_plans(architecture, deps, n)
+    plans = architecture_plans(architecture, dependency_sets(graphs), n)
     owner_sets: dict[AgentSet, set[int]] = {}
     for plan in plans.values():
         for est_set, owner in plan.terms:

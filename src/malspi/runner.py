@@ -184,9 +184,7 @@ def run_experiment(
     """Run all (architecture, seed) cells and emit CSV artifacts.
 
     Artifacts under the output root: ``curves.csv``, ``timing.csv``, and
-    ``<architecture>/seed_<seed>/agents.csv`` per configured name and seed.
-    Names that parse to the same architecture (``undecomposed_direct`` and
-    ``centralized``) share one run per seed, reported under each name.
+    ``<architecture>/seed_<seed>/agents.csv`` per architecture and seed.
     The timing table leaves out the first ``warmup`` updates of each run.
     When no output location is configured, no files are written and the
     tables are only returned.
@@ -200,16 +198,13 @@ def run_experiment(
 
     curves: list[CurveRow] = []
     timing: list[TimingRow] = []
-    runs: dict[tuple[Architecture, int], list[IterationRecord]] = {}
     for arch_name in config.architectures:
         architecture = Architecture.parse(arch_name)
+        arch_runs = []
         for seed in config.seeds:
-            if (architecture, seed) not in runs:
-                logger.info("running %s seed %d", arch_name, seed)
-                runs[architecture, seed] = run_malspi(
-                    system, architecture, config.malspi_config(seed)
-                )
-            records = runs[architecture, seed]
+            logger.info("running %s seed %d", arch_name, seed)
+            records = run_malspi(system, architecture, config.malspi_config(seed))
+            arch_runs.append(records)
             curves.extend(
                 CurveRow(arch_name, seed, r.iteration, r.eval_cost, r.eval_diverged)
                 for r in records
@@ -222,7 +217,6 @@ def run_experiment(
                              r.wall_eval_s * 1e3, r.wall_update_s * 1e3, "|".join(diag.flags))
                     for r in records for diag in r.agents
                 ))
-        arch_runs = [runs[architecture, seed] for seed in config.seeds]
         timing.append(_timing_row(arch_name, config, arch_runs, warmup))
 
     table = ResultTable(curves=tuple(curves), timing=_with_ratios(timing))
@@ -251,7 +245,8 @@ def timing_benchmark(
 
     Each agent count is one file-less ``run_experiment`` on the first seed
     that leaves out the first ``warmup`` updates.  The full-dimension
-    architectures are skipped (NA row) above ``centralized_max_n``.
+    architecture, ``centralized``, is skipped (NA row) above
+    ``centralized_max_n``.
     ``t_mode="auto"`` raises the rollout length at an agent count to keep
     every regression there determined (feature dimension plus margin), for
     all its architectures alike; ``"fixed"`` keeps the config's length.
@@ -261,7 +256,7 @@ def timing_benchmark(
     if warmup < 0 or measured < 1:
         raise ValueError(f"need warmup >= 0 and measured >= 1, got {warmup} and {measured}")
     archs = tuple(architectures) if architectures is not None else config.architectures
-    full_dim_archs = {a for a in archs if Architecture.parse(a) is Architecture.CENTRALIZED}
+    full_dim = Architecture.CENTRALIZED.value
 
     # Every agent count is checked before the first one runs.
     if config.graphs is not None and any(n != config.n_agents for n in n_list):
@@ -276,9 +271,9 @@ def timing_benchmark(
     rows: list[TimingRow] = []
     for cfg_n in configs:
         n = cfg_n.n_agents
-        active = tuple(a for a in archs if not (a in full_dim_archs and n > centralized_max_n))
+        active = tuple(a for a in archs if not (a == full_dim and n > centralized_max_n))
         t_run = cfg_n.t_rollout
-        if t_mode == "auto" and any(a in full_dim_archs for a in active):
+        if t_mode == "auto" and full_dim in active:
             t_run = max(t_run, full_set_feature_dim(cfg_n) + 50)
         timed = {}
         if active:

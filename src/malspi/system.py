@@ -81,11 +81,16 @@ def embed_quadratic(
     """Zero-pad a quadratic form on the small set's (x, u) coordinates to the big set's.
 
     With ``out`` (m x m on the big set), ``q_small`` is added into its block
-    of ``out`` in place, and ``out`` is returned.
+    of ``out`` in place, and ``out`` is returned; when the two sets are
+    equal, that block is all of ``out`` and no indices are formed.
     """
-    idx = z_embedding_indices(small_set, big_set, n_x, n_u)
+    small, big = sorted(small_set), sorted(big_set)
+    if out is not None and small == big:
+        out += q_small
+        return out
+    idx = z_embedding_indices(small, big, n_x, n_u)
     if out is None:
-        m_big = (n_x + n_u) * len(set(big_set))
+        m_big = (n_x + n_u) * len(set(big))
         out = np.zeros((m_big, m_big))
     out[np.ix_(idx, idx)] += q_small
     return out

@@ -519,7 +519,7 @@ def check_noise_free_lstdq(cases: Optional[Iterable] = None) -> CheckResult:
         for i in system.graphs.agents:
             owners = deps.gradient[i]
             bundle = build_regression(batch, deps.direct[i], policy, owners, system)
-            estimate = smat(LstdqOperator(bundle).solve_cost(bundle.c_hat))
+            estimate = smat(LstdqOperator(bundle).solve_cost().sum(axis=1))
             sub = extract_subsystem(system, policy, deps.direct[i], cost_owners=owners)
             worst = max(worst, float(np.max(np.abs(estimate - true_q_matrix(sub)))))
     return CheckResult("noise-free LSTDQ exactness", worst < 1e-6, f"worst {worst:.2e}")

@@ -37,7 +37,7 @@ def _regression_inputs(data: dict, t_rollout: int, est_set=None, owners=None):
 def _regression(batch, est_set, policy, owners, system):
     bundle = build_regression(batch, est_set, policy, owners, system)
     op = LstdqOperator(bundle)
-    return bundle.d, op.solve_cost(bundle.owner_costs)
+    return bundle.d, op.solve_cost()
 
 
 @pytest.fixture(scope="module")

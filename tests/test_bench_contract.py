@@ -7,9 +7,13 @@ without failing any other test.  These tests only read ``perfbench/``.
 """
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
+
+from malspi.config import parse_config
+from malspi.policy_iteration import Architecture
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -107,3 +111,23 @@ def test_workload_names_resolve():
     } <= names
     for module, name in sorted(names):
         assert callable(_resolve(module, name)), f"{module}.{name}"
+
+
+def test_workload_configs_parse(tmp_path, monkeypatch):
+    # A workload's config documents are the benchmark's input: each must
+    # still parse once a name or key is deleted from the library.
+    files = sorted(PERFBENCH.rglob("*"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    fresh = [name for name in ("workloads", "tracing") if name not in sys.modules]
+    try:
+        workloads = importlib.import_module("workloads")
+        for name in ("full_set", "oracle", "decomposed"):
+            for data in workloads.make_workload(name, 0, tmp_path).configs():
+                config = parse_config(data)
+                for architecture in config.architectures:
+                    Architecture.parse(architecture)
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+    assert sorted(PERFBENCH.rglob("*")) == files

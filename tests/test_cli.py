@@ -313,13 +313,17 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
     for config, message in [
         ({"n_agents": 2, "mystery": 1}, "unknown keys in configuration: ['mystery']"),
         ({"n_agents": 2, "architectures": ["foo"]}, "architectures: unknown architecture 'foo'; "
-         "expected one of: centralized, direct, indirect, undecomposed_direct"),
+         "expected one of: centralized, direct, indirect"),
+        ({"n_agents": 2, "architectures": ["undecomposed_direct"]},
+         "architectures: unknown architecture 'undecomposed_direct'; "
+         "expected one of: centralized, direct, indirect"),
         ({"n_agents": "x"}, "n_agents must be an integer, got 'x'"),
         ({"n_agents": 2.7}, "n_agents must be an integer, got 2.7"),
         ({"n_agents": 2, "seeds": [0.9, 1.2]}, "seeds must be an integer, got 0.9"),
         ({"n_agents": 2, "t_rollout": True}, "t_rollout must be an integer, got True"),
         ({"n_agents": 2, "alpha": False}, "alpha must be a number, got False"),
-        ({"n_agents": 2, "force_full_sets": "no"}, "force_full_sets must be true or false, got 'no'"),
+        ({"n_agents": 2, "force_full_sets": True},
+         "unknown keys in configuration: ['force_full_sets']"),
         ({"n_agents": 2, "oracle_diagnostics": "false"},
          "oracle_diagnostics must be true or false, got 'false'"),
         ({"n_agents": 2, "sigma_eta": float("nan")}, "sigma_eta must be finite, got nan"),
@@ -331,6 +335,7 @@ def test_config_error_is_a_one_line_cli_error(tmp_path, command):
         ({"n_agents": 2, "sigma_w": -1}, "sigma_w must be nonnegative, got -1.0"),
         ({"n_agents": 2, "sigma0": -1}, "sigma0 must be nonnegative, got -1.0"),
         ({"n_agents": 2, "zeta": -1}, "zeta must be nonnegative, got -1.0"),
+        ({"n_agents": 2, "alpha": -1.0}, "alpha must be nonnegative, got -1.0"),
         ({"n_agents": 2, "n_iterations": -1}, "n_iterations must be nonnegative, got -1"),
         ({"n_agents": 2, "n_x": 0}, "n_x must be at least 1, got 0"),
         (_explicit_graphs(edges_s=[["a", 1]]), "graphs.edges_s must be an integer, got 'a'"),

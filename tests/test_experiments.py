@@ -22,7 +22,7 @@ from malspi.examples import (
 )
 from malspi.graphs import build_coupling_graphs, dependency_sets, value_dependency_edges
 from malspi import runner
-from malspi.policy_iteration import Architecture, MalspiConfig
+from malspi.policy_iteration import MalspiConfig
 from malspi.runner import (
     AgentRow,
     CurveRow,
@@ -152,7 +152,7 @@ def test_every_key_parses_to_its_value_and_reaches_the_run():
         "cost": {"s_diag": 150.0, "s_off": -5.0}, "sigma_w": 0.5, "sigma_eta": 0.7,
         "t_rollout": 300, "t_eval": 200, "n_iterations": 4, "alpha": 2e-4, "zeta": 1e-5,
         "sigma0": 0.3, "architectures": ["direct", "centralized"], "seeds": [3, 1],
-        "output_dir": "out", "force_full_sets": True, "oracle_diagnostics": True,
+        "output_dir": "out", "oracle_diagnostics": True,
     }
     expected = ExperimentConfig(
         n_agents=5, example="example2", n_x=2, n_u=1,
@@ -160,7 +160,7 @@ def test_every_key_parses_to_its_value_and_reaches_the_run():
         cost=CostConfig(150.0, -5.0), sigma_w=0.5, sigma_eta=0.7, t_rollout=300, t_eval=200,
         n_iterations=4, alpha=2e-4, zeta=1e-5, sigma0=0.3,
         architectures=("direct", "centralized"), seeds=(3, 1), output_dir="out",
-        force_full_sets=True, oracle_diagnostics=True,
+        oracle_diagnostics=True,
     )
     assert parse_config(document) == expected
     default = parse_config({"n_agents": 8})
@@ -172,7 +172,7 @@ def test_every_key_parses_to_its_value_and_reaches_the_run():
         assert [n for n in names if getattr(section, n) == getattr(reference, n)] == []
     shared = _names(MalspiConfig) & _names(ExperimentConfig)
     assert shared == {"n_iterations", "t_rollout", "t_eval", "sigma_eta", "alpha", "zeta",
-                      "sigma0", "force_full_sets", "oracle_diagnostics"}
+                      "sigma0", "oracle_diagnostics"}
     run = expected.malspi_config(7)
     assert run.seed == 7
     assert all(getattr(run, key) == getattr(expected, key) for key in shared)
@@ -214,9 +214,6 @@ def test_config_rejects_repeated_architectures_and_seeds():
         parse_config({"n_agents": 4, "architectures": ["direct", "direct"]})
     with pytest.raises(ConfigError, match=r"seeds lists \[0\]"):
         parse_config({"n_agents": 4, "seeds": [0, 1, 0]})
-    # an alias is a different name for the same architecture, not a repeat
-    cfg = parse_config({"n_agents": 4, "architectures": ["centralized", "undecomposed_direct"]})
-    assert cfg.architectures == ("centralized", "undecomposed_direct")
 
 
 def test_config_with_explicit_graphs_builds_system():
@@ -287,38 +284,6 @@ def test_experiment_without_oracle_marks_q_err_empty(tmp_path):
     assert rows and all(row.q_err_if_oracle_known is None for row in rows)
 
 
-def test_alias_pair_runs_once_per_seed_and_reports_under_both_names(tmp_path, monkeypatch):
-    calls = []
-    real_run = runner.run_malspi
-
-    def counted(system, architecture, mconfig):
-        calls.append((architecture, mconfig.seed))
-        return real_run(system, architecture, mconfig)
-
-    monkeypatch.setattr(runner, "run_malspi", counted)
-    cfg = small_config(architectures=["undecomposed_direct", "indirect", "centralized"])
-    table = run_experiment(cfg, tmp_path)
-    assert calls == [
-        (Architecture.CENTRALIZED, 0),
-        (Architecture.CENTRALIZED, 1),
-        (Architecture.INDIRECT, 0),
-        (Architecture.INDIRECT, 1),
-    ]
-    alias = [r for r in table.curves if r.architecture == "undecomposed_direct"]
-    central = [r for r in table.curves if r.architecture == "centralized"]
-    assert len(alias) == len(central) == 2 * 3  # two seeds, iterations 0..2
-    assert [(r.seed, r.iteration, r.eval_cost) for r in alias] == [
-        (r.seed, r.iteration, r.eval_cost) for r in central
-    ]
-    assert [r.architecture for r in table.timing] == list(cfg.architectures)
-    assert table.timing[0].mean_iteration_s == table.timing[2].mean_iteration_s
-    assert read_curves_csv(tmp_path / "curves.csv") == table.curves
-    for seed in (0, 1):
-        same = [(tmp_path / name / f"seed_{seed}" / "agents.csv").read_text()
-                for name in ("undecomposed_direct", "centralized")]
-        assert same[0] == same[1]
-
-
 def test_curves_identical_across_reruns(tmp_path):
     cfg = small_config(seeds=[3])
     t1 = run_experiment(cfg, tmp_path / "a")
@@ -387,29 +352,6 @@ def test_timing_benchmark_auto_mode_keeps_regressions_determined():
     assert cell.n_measured == 1
 
 
-def test_timing_benchmark_runs_an_alias_pair_once_per_n(monkeypatch):
-    calls = []
-    real_run = runner.run_malspi
-
-    def counted(system, architecture, mconfig):
-        calls.append((architecture, system.graphs.n_agents))
-        return real_run(system, architecture, mconfig)
-
-    monkeypatch.setattr(runner, "run_malspi", counted)
-    names = ["undecomposed_direct", "indirect", "centralized"]
-    cfg = small_config(architectures=names, seeds=[0])
-    cells = timing_benchmark(cfg, [4, 6], warmup=0, measured=1)
-    assert calls == [
-        (Architecture.CENTRALIZED, 4),
-        (Architecture.INDIRECT, 4),
-        (Architecture.CENTRALIZED, 6),
-        (Architecture.INDIRECT, 6),
-    ]
-    assert [(c.architecture, c.n_agents) for c in cells] == [(a, n) for n in (4, 6) for a in names]
-    for alias, central in ((cells[0], cells[2]), (cells[3], cells[5])):
-        assert replace(alias, architecture="centralized") == central
-
-
 # Header lines of the tables, as documented under "Artifacts" in README.md.
 HEADERS = {
     CurveRow: "architecture,seed,iteration,eval_cost,diverged",
@@ -444,7 +386,7 @@ def test_experiment_writes_every_csv_through_one_call_site(tmp_path, monkeypatch
         return real_write(path, header, rows)
 
     monkeypatch.setattr(runner, "write_rows_csv", counted)
-    cfg = small_config(architectures=["indirect", "centralized", "undecomposed_direct"])
+    cfg = small_config(architectures=["indirect", "centralized"])
     run_experiment(cfg, tmp_path)
     cells = [f"{a}/seed_{s}/agents.csv" for a in cfg.architectures for s in cfg.seeds]
     assert written == [*cells, "curves.csv", "timing.csv"]

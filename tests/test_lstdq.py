@@ -63,7 +63,7 @@ def _traced_peak(work):
 
 def _q_matrix(bundle):
     """The estimated Q matrix for the bundle's aggregated cost."""
-    return smat(LstdqOperator(bundle).solve_cost(bundle.c_hat))
+    return smat(LstdqOperator(bundle).solve_cost().sum(axis=1))
 
 
 def scalar_system(a=0.5, b=1.0, s=1.0, r=1.0, sigma_w=1.0):
@@ -92,7 +92,7 @@ def test_feature_rows_hand_checked_smallest_instance():
             atol=1e-14,
         )
     np.testing.assert_allclose(bundle.f_row, 0.0)
-    np.testing.assert_allclose(bundle.c_hat, batch.x[:3, 0] ** 2 + batch.u[:, 0] ** 2)
+    np.testing.assert_allclose(bundle.owner_costs[:, 0], batch.x[:3, 0] ** 2 + batch.u[:, 0] ** 2)
 
 
 def test_noise_row_value():
@@ -114,8 +114,10 @@ def test_empty_cost_owner_set_gives_zero_solution():
     policy = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, policy, 50, 1.0, seed=2)
     bundle = build_regression(batch, (1,), policy, (), system)
-    np.testing.assert_allclose(bundle.c_hat, 0.0)
-    np.testing.assert_allclose(LstdqOperator(bundle).solve_cost(bundle.c_hat), 0.0, atol=1e-12)
+    assert bundle.owner_costs.shape == (50, 0)
+    q = LstdqOperator(bundle).solve_cost()
+    assert q.shape == (bundle.d, 0)
+    np.testing.assert_array_equal(q.sum(axis=1), 0.0)
 
 
 def test_aggregated_cost_matches_raw_recomputation():
@@ -130,7 +132,7 @@ def test_aggregated_cost_matches_raw_recomputation():
     sub = extract_subsystem(system, policy, agents, cost_owners=owners)
     xs, us = batch.states(agents), batch.controls(agents)
     expected = [sub.stage_cost(xs[t], us[t]) for t in range(t_length)]
-    np.testing.assert_allclose(bundle.c_hat, expected, rtol=1e-12)
+    np.testing.assert_allclose(bundle.owner_costs.sum(axis=1), expected, rtol=1e-12)
 
 
 def test_underdetermined_error_reports_required_length():
@@ -207,30 +209,31 @@ def test_lu_solve_matches_least_squares_reference():
     phi = _features(bundle)
     operator = phi.T @ _regressor_rows(bundle)
     assert op.rcond > 1e-6
-    for cost in [bundle.c_hat, *bundle.owner_costs.T]:
+    q = op.solve_cost()
+    assert bundle.cost_owners == (1, 2) and q.shape == (bundle.d, 2)
+    for col, cost in enumerate(bundle.owner_costs.T):
         reference = scipy.linalg.lstsq(operator, phi.T @ cost)[0]
-        np.testing.assert_allclose(op.solve_cost(cost), reference, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(q[:, col], reference, rtol=1e-10, atol=0.0)
 
 
-def test_solve_cost_block_matches_single_column_solves():
+def test_solve_cost_columns_match_single_owner_solves():
     rng = np.random.default_rng(17)
     g = generate_example1(4)
     system = random_system(rng, g, 1, 1)
     policy = random_stabilizing_policy(rng, system)
     deps = dependency_sets(g)
     batch = rollout(system, zero_policy(g, 1, 1), 400, 1.0, seed=18)
-    bundle = build_regression(batch, deps.direct[1], policy, deps.gradient[1], system)
-    assert bundle.owner_costs.shape == (400, len(deps.gradient[1])) and len(deps.gradient[1]) > 1
-    np.testing.assert_allclose(bundle.c_hat, bundle.owner_costs.sum(axis=1))
-    op = LstdqOperator(bundle)
-    block = op.solve_cost(bundle.owner_costs)
-    assert block.shape == (bundle.d, len(bundle.cost_owners))
-    for col, cost in enumerate(bundle.owner_costs.T):
-        single = op.solve_cost(cost)
-        assert np.linalg.norm(block[:, col] - single) <= 1e-12 * np.linalg.norm(single)
-    # another array with the same values streams the trajectory again, and
-    # the same slab products give the same right-hand sides bit for bit
-    np.testing.assert_array_equal(op.solve_cost(bundle.owner_costs.copy()), block)
+    agents, owners = deps.direct[1], deps.gradient[1]
+    bundle = build_regression(batch, agents, policy, owners, system)
+    assert bundle.owner_costs.shape == (400, len(owners)) and len(owners) > 1
+    block = LstdqOperator(bundle).solve_cost()
+    assert block.shape == (bundle.d, len(owners))
+    for col, owner in enumerate(bundle.cost_owners):
+        own = build_regression(batch, agents, policy, (owner,), system)
+        np.testing.assert_array_equal(own.owner_costs[:, 0], bundle.owner_costs[:, col])
+        single = LstdqOperator(own).solve_cost()
+        assert single.shape == (bundle.d, 1)
+        assert np.linalg.norm(block[:, col] - single[:, 0]) <= 1e-12 * np.linalg.norm(single)
 
 
 def test_feature_and_regressor_rows_match_per_sample_svec():
@@ -318,7 +321,7 @@ def test_blocked_operator_matches_a_reference_from_per_sample_rows(
     t_length = bundle.t_length
     slab = t_length if slab is None else slab
     assert min(t_length, max(lstdq._SLAB_MIN_ROWS, lstdq._SLAB_BYTES // (16 * bundle.d))) == slab
-    q = LstdqOperator(bundle).solve_cost(bundle.owner_costs)
+    q = LstdqOperator(bundle).solve_cost()
     # Bit for bit against the same slabs of the whole rows.
     operator, rhs = _slab_reference(bundle, slab)
     np.testing.assert_array_equal(q, _reference_solve(operator, rhs))
@@ -352,7 +355,7 @@ def test_operator_holds_one_regressor_block_not_the_rows():
     d = bundle.d
     r = lstdq._SLAB_MIN_ROWS
     assert d == 1176 and lstdq._SLAB_BYTES // (16 * d) < r < bundle.t_length
-    _, peak = _traced_peak(lambda: LstdqOperator(bundle).solve_cost(bundle.owner_costs))
+    _, peak = _traced_peak(lambda: LstdqOperator(bundle).solve_cost())
     # the operator and one Phi slab and one regressor slab of r rows
     limit = (d * d + 2 * r * d) * 8 + 2**20
     assert peak < limit, f"peak {peak / 2**20:.1f} MiB >= {limit / 2**20:.1f} MiB"
@@ -367,7 +370,7 @@ def test_regression_peak_grows_with_t_only_by_the_samples():
 
         def regression():
             bundle = build_regression(batch, agents, policy, agents, system)
-            LstdqOperator(bundle).solve_cost(bundle.owner_costs)
+            LstdqOperator(bundle).solve_cost()
             return bundle
 
         bundle, peak = _traced_peak(regression)
@@ -452,7 +455,7 @@ def test_longer_trajectories_reduce_error_on_paired_seeds():
 
 
 def test_exact_parameter_empirical_residual_shrinks_like_inverse_sqrt():
-    # c_hat - (phi - psi_plus + f) q_true, the residual on the regressor
+    # c - (phi - psi_plus + f) q_true, the residual on the regressor
     # rows, has zero conditional mean (the average-cost offset is folded
     # into f); its empirical mean over one trajectory decays roughly as
     # 1/sqrt(T)
@@ -469,7 +472,8 @@ def test_exact_parameter_empirical_residual_shrinks_like_inverse_sqrt():
         for seed in range(12):
             batch = rollout(system, policy, t_len, 1.0, seed=70_000 + 13 * seed + t_len)
             bundle = build_regression(batch, (1,), policy, (1,), system)
-            residuals.append(abs(np.mean(bundle.c_hat - _regressor_rows(bundle) @ q_vec)))
+            cost = bundle.owner_costs[:, 0]
+            residuals.append(abs(np.mean(cost - _regressor_rows(bundle) @ q_vec)))
         means.append(np.median(residuals))
     slope = np.polyfit(np.log(t_grid), np.log(means), 1)[0]
     assert -0.8 <= slope <= -0.25

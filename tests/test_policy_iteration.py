@@ -7,7 +7,7 @@ import pytest
 
 from malspi import lstdq, policy_iteration
 from malspi import system as system_mod
-from malspi.graphs import build_coupling_graphs, dependency_sets
+from malspi.graphs import DependencySets, build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1, generate_example2
 from malspi.linalg import InstabilityError, psd_project
 from malspi.policy_iteration import (
@@ -264,11 +264,12 @@ def test_runs_are_bitwise_deterministic():
         assert a.eval_cost == b.eval_cost
 
 
-def test_forced_full_sets_collapse_architectures_bitwise():
+def test_forced_full_sets_collapse_architectures_bitwise(monkeypatch):
     g = generate_example1(3)
     system = build_example_system(g, n_x=1, n_u=1)
-    cfg = MalspiConfig(n_iterations=3, t_rollout=120, t_eval=50, alpha=1e-6,
-                       seed=10, force_full_sets=True)
+    monkeypatch.setattr(policy_iteration, "dependency_sets",
+                        lambda graphs: DependencySets.full(graphs.n_agents))
+    cfg = MalspiConfig(n_iterations=3, t_rollout=120, t_eval=50, alpha=1e-6, seed=10)
     runs = {arch: run_malspi(system, arch, cfg) for arch in Architecture}
     reference = runs[Architecture.DIRECT]
     for arch, records in runs.items():
@@ -278,8 +279,10 @@ def test_forced_full_sets_collapse_architectures_bitwise():
 
 
 def test_in_place_aggregate_is_bitwise_the_sum_of_embedded_terms(monkeypatch):
-    # example2's leader under indirect sums one owner term per agent; every
-    # aggregate run_malspi floors must equal the sum of zero-padded terms
+    # example2's leader sums one owner term per agent; every aggregate
+    # run_malspi floors must equal the sum of zero-padded terms, also where
+    # a term's set is the update set (every direct term), which
+    # embed_quadratic adds without indexing
     g = generate_example2(5)
     system = build_example_system(g, n_x=1, n_u=1)
     cfg = MalspiConfig(n_iterations=2, t_rollout=150, t_eval=50, alpha=1e-4, seed=13,
@@ -300,8 +303,12 @@ def test_in_place_aggregate_is_bitwise_the_sum_of_embedded_terms(monkeypatch):
 
     monkeypatch.setattr(policy_iteration, "embed_quadratic", recorded_embed)
     monkeypatch.setattr(policy_iteration, "psd_project", checked_project)
-    run_malspi(system, Architecture.INDIRECT, cfg)
-    assert len(checked) == 2 * 5 and max(checked) == 5
+    for arch in (Architecture.INDIRECT, Architecture.DIRECT):
+        terms.clear()
+        checked.clear()
+        run_malspi(system, arch, cfg)
+        assert len(checked) == 2 * 5 and max(checked) == 5
+    assert all(small == big for _, small, big, _ in terms)
 
 
 def test_architecture_plan_layouts():
@@ -349,9 +356,9 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
             super().__init__(bundle, **kwargs)
             factorized.append(bundle.index_set)
 
-    def counted_solve(self, cost):
-        solves.append((self.bundle.index_set, np.shape(cost)))
-        return real_solve(self, cost)
+    def counted_solve(self):
+        solves.append((self.bundle.index_set, self.bundle.owner_costs.shape))
+        return real_solve(self)
 
     def counted_build(*args, **kwargs):
         rebuilds.append(1)
