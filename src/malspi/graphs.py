@@ -24,6 +24,7 @@ functions of immutable inputs.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -98,8 +99,7 @@ class CouplingGraphs:
         }
 
     def _neighbors(self, kind: str, i: int) -> AgentSet:
-        self.require_valid_agent(i)
-        return self._maps[kind][i]
+        return self._maps[kind][self.require_valid_agent(i)]
 
     def state_in_neighbors(self, i: int) -> AgentSet:
         """Agents whose state/control enters agent i's dynamics."""
@@ -117,9 +117,17 @@ class CouplingGraphs:
         """Agents whose stage cost depends on agent i."""
         return self._neighbors("cost_out", i)
 
-    def require_valid_agent(self, i: int) -> None:
-        if not (isinstance(i, (int,)) and 1 <= i <= self.n_agents):
+    def require_valid_agent(self, i: int) -> int:
+        """``i`` as an int; raises unless it is an integer in 1..N (not a bool; 1.7 raises)."""
+        try:
+            if isinstance(i, bool):
+                raise TypeError
+            index = operator.index(i)
+        except TypeError:
+            raise GraphValidationError(f"agent index {i!r} is not an integer") from None
+        if not 1 <= index <= self.n_agents:
             raise GraphValidationError(f"agent index {i!r} outside 1..{self.n_agents}")
+        return index
 
 
 def build_coupling_graphs(

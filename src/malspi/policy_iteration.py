@@ -47,7 +47,7 @@ from .system import (
     extract_subsystem,
     rollout,
     true_q_matrix,
-    x_coords,
+    z_embedding_indices,
     zero_policy,
 )
 
@@ -129,7 +129,7 @@ def policy_gradient_update(
     its index set.
     """
     t_length = batch.length
-    by_set: dict[AgentSet, list[tuple[int, AgentSet, np.ndarray]]] = {}
+    by_set: dict[AgentSet, list[tuple[int, np.ndarray]]] = {}
     for agent, (agent_set, q) in estimates.items():
         if agent not in agent_set:
             raise ValueError(f"agent {agent} is not in the estimate's index set {agent_set}")
@@ -140,17 +140,17 @@ def policy_gradient_update(
                 f"agent {agent} observes {outside} outside the estimate's index set {agent_set}"
             )
         if observed:
-            by_set.setdefault(tuple(agent_set), []).append((agent, observed, q))
+            by_set.setdefault(tuple(agent_set), []).append((agent, q))
     rows: dict[int, np.ndarray] = {}
     for agent_set, members in by_set.items():
         # One T x m sample matrix per distinct index set, shared by its agents.
         z = np.hstack([batch.states(agent_set)[:t_length], batch.controls(agent_set)])
-        for agent, observed, q in members:
-            pos = sorted(agent_set).index(agent)
-            cols = policy.n_x * len(agent_set) + pos * policy.n_u + np.arange(policy.n_u)
-            x_obs = batch.x[:t_length, x_coords(observed, policy.n_x)]
+        for agent, q in members:
+            cols = z_embedding_indices((agent,), agent_set, policy.n_x, policy.n_u)[policy.n_x :]
+            cells = policy.row_cells(agent)
+            x_obs = batch.x[:t_length, cells[1]]
             grad = ((z @ q[:, cols]).T @ x_obs) / t_length
-            rows[agent] = policy.row_gain(agent) - 2.0 * alpha * grad
+            rows[agent] = policy.gain[cells] - 2.0 * alpha * grad
     return policy.with_row_gains(rows) if rows else policy
 
 

@@ -106,46 +106,48 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 class StructuredPolicy:
     """Static linear gain with sparsity constrained by the observation graph.
 
-    ``blocks[(i, j)]`` is the n_u x n_x gain applied by agent i to agent j's
-    state, present only for j among agent i's observation in-neighbors.
-    ``gain`` is the assembled global matrix with zeros elsewhere.
+    ``gain`` is the global N*n_u x N*n_x matrix and the only stored form.
+    Agent i's entries are the cells ``row_cells(i)``: its n_u rows against
+    the state columns of its observation in-neighbors.  Every other entry
+    is zero.
     """
 
     graphs: CouplingGraphs
     n_x: int
     n_u: int
-    blocks: Mapping[tuple[int, int], np.ndarray]
     gain: np.ndarray
 
     @property
     def n_agents(self) -> int:
         return self.graphs.n_agents
 
+    def row_cells(self, i: int) -> tuple[slice, np.ndarray]:
+        """Agent i's row slice of ``gain`` and its observed columns (sorted neighbors)."""
+        i = self.graphs.require_valid_agent(i)
+        rows = slice((i - 1) * self.n_u, i * self.n_u)
+        return rows, x_coords(self.graphs.observation_in_neighbors(i), self.n_x)
+
     def row_gain(self, i: int) -> np.ndarray:
         """Agent i's gain over its sorted observation in-neighbors, n_u x n_x*|I_O|."""
-        neighbors = self.graphs.observation_in_neighbors(i)
-        if not neighbors:
-            return np.zeros((self.n_u, 0))
-        return np.hstack([np.asarray(self.blocks[(i, j)]) for j in neighbors])
+        return self.gain[self.row_cells(i)]
 
     def with_row_gains(self, rows: Mapping[int, np.ndarray]) -> "StructuredPolicy":
-        """New policy with each listed agent's observation blocks replaced.
+        """New policy with each listed agent's cells replaced.
 
-        ``rows[i]`` is laid out as ``row_gain(i)`` returns it; agents not
-        listed keep their blocks.  The policy is assembled once.
+        ``rows[i]`` is laid out as ``row_gain(i)`` returns it; every other
+        entry is copied unchanged.
         """
-        blocks = dict(self.blocks)
+        gain = self.gain.copy()
         for i, row in rows.items():
-            neighbors = self.graphs.observation_in_neighbors(i)
+            cells = self.row_cells(i)
             row = np.asarray(row, dtype=float)
-            expected = (self.n_u, self.n_x * len(neighbors))
+            expected = (self.n_u, len(cells[1]))
             if row.shape != expected:
                 raise ValueError(
                     f"row gain for agent {i} must have shape {expected}, got {row.shape}"
                 )
-            for k, j in enumerate(neighbors):
-                blocks[(i, j)] = row[:, k * self.n_x : (k + 1) * self.n_x]
-        return structured_policy_from_blocks(self.graphs, self.n_x, self.n_u, blocks)
+            gain[cells] = row
+        return StructuredPolicy(self.graphs, self.n_x, self.n_u, _as_readonly(gain))
 
 
 def structured_policy_from_blocks(
@@ -154,10 +156,10 @@ def structured_policy_from_blocks(
     n_u: int,
     blocks: Mapping[tuple[int, int], np.ndarray],
 ) -> StructuredPolicy:
-    """Assemble a StructuredPolicy, validating block keys against the observation graph."""
+    """Assemble a StructuredPolicy from ``blocks[(i, j)]``, agent i's n_u x n_x gain
+    on agent j's state, validating block keys against the observation graph."""
     n = graphs.n_agents
     gain = np.zeros((n * n_u, n * n_x))
-    clean: dict[tuple[int, int], np.ndarray] = {}
     for (i, j), block in blocks.items():
         if (j, i) not in graphs.edges_o:
             raise GraphValidationError(
@@ -167,52 +169,49 @@ def structured_policy_from_blocks(
         arr = np.asarray(block, dtype=float)
         if arr.shape != (n_u, n_x):
             raise ValueError(f"gain block ({i}, {j}) must be {n_u}x{n_x}, got {arr.shape}")
-        clean[(i, j)] = _as_readonly(arr)
         gain[(i - 1) * n_u : i * n_u, (j - 1) * n_x : j * n_x] = arr
-    return StructuredPolicy(graphs=graphs, n_x=n_x, n_u=n_u, blocks=clean, gain=_as_readonly(gain))
+    return StructuredPolicy(graphs, n_x, n_u, _as_readonly(gain))
 
 
 def zero_policy(graphs: CouplingGraphs, n_x: int, n_u: int) -> StructuredPolicy:
-    """All-zero structured gain (blocks present for every observation edge)."""
-    blocks = {
-        (i, j): np.zeros((n_u, n_x))
-        for i in graphs.agents
-        for j in graphs.observation_in_neighbors(i)
-    }
-    return structured_policy_from_blocks(graphs, n_x, n_u, blocks)
+    """All-zero structured gain."""
+    n = graphs.n_agents
+    return StructuredPolicy(graphs, n_x, n_u, _as_readonly(np.zeros((n * n_u, n * n_x))))
 
 
 def policy_from_global_gain(
     graphs: CouplingGraphs, n_x: int, n_u: int, gain: np.ndarray, *, atol: float = 0.0
 ) -> StructuredPolicy:
-    """Split a global gain into structured blocks, checking forbidden entries.
+    """The structured policy holding ``gain``'s entries on the observation pattern.
 
-    Entries outside the observation pattern larger than ``atol`` raise.
+    Entries outside the pattern are dropped when their magnitude is at most
+    ``atol``; a larger one raises, naming the block (i, j) of the largest.
     """
     gain = np.asarray(gain, dtype=float)
     n = graphs.n_agents
     if gain.shape != (n * n_u, n * n_x):
         raise ValueError(f"global gain must be {n * n_u}x{n * n_x}, got {gain.shape}")
-    blocks = {}
-    for i in graphs.agents:
-        observed = set(graphs.observation_in_neighbors(i))
-        for j in graphs.agents:
-            block = gain[(i - 1) * n_u : i * n_u, (j - 1) * n_x : j * n_x]
-            if j in observed:
-                blocks[(i, j)] = block
-            elif np.max(np.abs(block), initial=0.0) > atol:
-                raise GraphValidationError(
-                    f"global gain has nonzero block ({i}, {j}) outside the observation graph"
-                )
-    return structured_policy_from_blocks(graphs, n_x, n_u, blocks)
+    policy = zero_policy(graphs, n_x, n_u)
+    policy = policy.with_row_gains({i: gain[policy.row_cells(i)] for i in graphs.agents})
+    # What is left outside the pattern; NaN (ignored) only at non-finite entries.
+    with np.errstate(invalid="ignore"):
+        outside = np.abs(gain - policy.gain)
+    outside[~(outside > atol)] = 0.0
+    if outside.any():
+        r, c = np.unravel_index(np.argmax(outside), outside.shape)
+        raise GraphValidationError(
+            f"global gain entry {gain[r, c]:.3g} in block ({r // n_u + 1}, {c // n_x + 1}) "
+            f"lies outside the observation graph (atol {atol:g})"
+        )
+    return policy
 
 
 @dataclass(frozen=True)
 class MultiAgentSystem:
-    """Block-structured global dynamics and costs of N coupled agents.
+    """Global dynamics and costs of N coupled agents.
 
-    ``a_blocks[(i, j)]`` / ``b_blocks[(i, j)]`` give agent j's influence on
-    agent i's next state; keys are restricted to the state graph.  Cost
+    ``a`` and ``b`` are the global dynamics; agent j's block in agent i's
+    rows is nonzero only when j influences i in the state graph.  Cost
     blocks ``s_blocks[i]`` / ``r_blocks[i]`` act on the stacked coordinates
     of agent i's sorted cost in-neighbors.  ``s`` and ``r`` are the global
     cost matrices with the 1/N averaging folded in; per-agent stage costs
@@ -222,8 +221,6 @@ class MultiAgentSystem:
     graphs: CouplingGraphs
     n_x: int
     n_u: int
-    a_blocks: Mapping[tuple[int, int], np.ndarray]
-    b_blocks: Mapping[tuple[int, int], np.ndarray]
     s_blocks: Mapping[int, np.ndarray]
     r_blocks: Mapping[int, np.ndarray]
     sigma_w: float
@@ -284,11 +281,9 @@ def build_system(
 
     a_global = np.zeros((n * n_x, n * n_x))
     b_global = np.zeros((n * n_x, n * n_u))
-    clean_a: dict[tuple[int, int], np.ndarray] = {}
-    clean_b: dict[tuple[int, int], np.ndarray] = {}
-    for (blocks, clean, cols, label) in (
-        (a_blocks, clean_a, n_x, "A"),
-        (b_blocks, clean_b, n_u, "B"),
+    for (blocks, target, cols, label) in (
+        (a_blocks, a_global, n_x, "A"),
+        (b_blocks, b_global, n_u, "B"),
     ):
         for (i, j), block in blocks.items():
             if (j, i) not in graphs.edges_s:
@@ -301,8 +296,6 @@ def build_system(
                 raise ValueError(
                     f"{label} block ({i}, {j}) must be {n_x}x{cols}, got {arr.shape}"
                 )
-            clean[(i, j)] = _as_readonly(arr)
-            target = a_global if label == "A" else b_global
             target[(i - 1) * n_x : i * n_x, (j - 1) * cols : j * cols] = arr
 
     s_global = np.zeros((n * n_x, n * n_x))
@@ -337,8 +330,6 @@ def build_system(
         graphs=graphs,
         n_x=n_x,
         n_u=n_u,
-        a_blocks=clean_a,
-        b_blocks=clean_b,
         s_blocks=clean_s,
         r_blocks=clean_r,
         sigma_w=float(sigma_w),
@@ -353,10 +344,12 @@ def build_system(
 class Subsystem:
     """A system restricted to an agent subset's coordinates.
 
-    ``s`` and ``r`` hold the requested cost aggregate (sum of the chosen
-    owners' cost blocks, optionally 1/N-averaged) expressed on the subset's
-    stacked coordinates.  Extraction is exact when the subset is closed
-    under the state/observation reachability relation.
+    ``a``, ``b`` and ``k`` are the global matrices restricted to the
+    subset's coordinates.  ``s`` and ``r`` hold the requested cost
+    aggregate (sum of the chosen owners' cost blocks, optionally
+    1/N-averaged) on the subset's stacked coordinates.  Extraction is exact
+    when the subset is closed under the state/observation reachability
+    relation.
     """
 
     agents: AgentSet
@@ -368,7 +361,6 @@ class Subsystem:
     r: np.ndarray
     k: np.ndarray
     sigma_w: float
-    cost_owners: AgentSet
 
     @property
     def nx(self) -> int:
@@ -416,20 +408,20 @@ def extract_subsystem(
     ``average=True`` folds in the 1/N global averaging; otherwise owner
     costs are summed raw.
     """
-    agents = tuple(sorted(set(int(a) for a in index_set)))
-    for a in agents:
-        system.graphs.require_valid_agent(a)
+    graphs = system.graphs
+    agents = tuple(sorted({graphs.require_valid_agent(a) for a in index_set}))
     if not agents:
         raise ValueError("index_set must contain at least one agent")
-    missing = missing_closure_agent(system.graphs, agents)
+    missing = missing_closure_agent(graphs, agents)
     if missing is not None:
         raise ClosureError(
             f"index set {agents} is not closed: agent {missing} reaches it "
             "through the state/observation graph"
         )
-    owners = tuple(sorted(set(int(a) for a in cost_owners)))
-    xs = x_coords(agents, system.n_x)
-    us = u_coords(agents, system.n_u)
+    owners = tuple(sorted({graphs.require_valid_agent(j) for j in cost_owners}))
+    n_x, n_u = system.n_x, system.n_u
+    xs = x_coords(agents, n_x)
+    us = u_coords(agents, n_u)
     a_sub = system.a[xs[:, None], xs]
     b_sub = system.b[xs[:, None], us]
     k_sub = policy.gain[us[:, None], xs]
@@ -439,18 +431,14 @@ def extract_subsystem(
     s_sub = np.zeros((dim_x, dim_x))
     r_sub = np.zeros((dim_u, dim_u))
     scale = 1.0 / system.n_agents if average else 1.0
-    pos = {a: k for k, a in enumerate(agents)}
-    require_costs_inside(system.graphs, owners, agents)
+    require_costs_inside(graphs, owners, agents)
     for j in owners:
-        cost_set = system.graphs.cost_in_neighbors(j)
+        cost_set = graphs.cost_in_neighbors(j)
         if not cost_set:
             continue
-        x_idx = np.concatenate(
-            [pos[c] * system.n_x + np.arange(system.n_x) for c in cost_set]
-        )
-        u_idx = np.concatenate(
-            [pos[c] * system.n_u + np.arange(system.n_u) for c in cost_set]
-        )
+        # The owner's (x, u) positions in the set's stacked coordinates.
+        idx = z_embedding_indices(cost_set, agents, n_x, n_u)
+        x_idx, u_idx = idx[: len(cost_set) * n_x], idx[len(cost_set) * n_x :] - dim_x
         s_sub[np.ix_(x_idx, x_idx)] += scale * system.s_blocks[j]
         r_sub[np.ix_(u_idx, u_idx)] += scale * system.r_blocks[j]
 
@@ -464,7 +452,6 @@ def extract_subsystem(
         r=_as_readonly(r_sub),
         k=_as_readonly(k_sub),
         sigma_w=system.sigma_w,
-        cost_owners=owners,
     )
 
 

@@ -43,8 +43,6 @@ from .system import (
     rollout,
     structured_policy_from_blocks,
     true_q_matrix,
-    u_coords,
-    x_coords,
     z_embedding_indices,
     zero_policy,
 )
@@ -94,21 +92,12 @@ def random_system(
     spectral_target: float = 0.7,
 ) -> MultiAgentSystem:
     """Random blocks on the graph sparsity pattern, rescaled to be open-loop stable."""
-    n = graphs.n_agents
     a_blocks = {}
     b_blocks = {}
     for i in graphs.agents:
         for j in graphs.state_in_neighbors(i):
             a_blocks[(i, j)] = rng.normal(scale=1.0, size=(n_x, n_x))
             b_blocks[(i, j)] = rng.normal(scale=1.0, size=(n_x, n_u))
-    if a_blocks:
-        a_probe = np.zeros((n * n_x, n * n_x))
-        for (i, j), blk in a_blocks.items():
-            a_probe[(i - 1) * n_x : i * n_x, (j - 1) * n_x : j * n_x] = blk
-        rho = spectral_radius(a_probe)
-        if rho > spectral_target:
-            scale = spectral_target / rho
-            a_blocks = {k: v * scale for k, v in a_blocks.items()}
     s_blocks = {}
     r_blocks = {}
     for i in graphs.agents:
@@ -121,7 +110,13 @@ def random_system(
         s_blocks[i] = c.T @ c / (k * n_x)
         d = rng.normal(size=(k * n_u, k * n_u))
         r_blocks[i] = d.T @ d / (k * n_u) + 0.5 * np.eye(k * n_u)
-    return build_system(graphs, n_x, n_u, a_blocks, b_blocks, s_blocks, r_blocks, sigma_w)
+    system = build_system(graphs, n_x, n_u, a_blocks, b_blocks, s_blocks, r_blocks, sigma_w)
+    rho = spectral_radius(system.a)
+    if rho > spectral_target:
+        scale = spectral_target / rho
+        a_blocks = {k: v * scale for k, v in a_blocks.items()}
+        system = build_system(graphs, n_x, n_u, a_blocks, b_blocks, s_blocks, r_blocks, sigma_w)
+    return system
 
 
 def random_stabilizing_policy(
@@ -228,22 +223,15 @@ def analytic_average_cost(system: MultiAgentSystem, gain: np.ndarray) -> float:
 
 
 def analytic_owner_gradient(
-    system: MultiAgentSystem, gain: np.ndarray, owner: int
+    system: MultiAgentSystem, policy: StructuredPolicy, owner: int
 ) -> np.ndarray:
     """Gradient of owner's unaveraged stationary cost with respect to the full gain."""
+    gain = policy.gain
     closed = system.a + system.b @ gain
     cov = lyapunov_solve(closed, system.sigma_w**2 * np.eye(system.nx_total))
-    nx = system.nx_total
-    s_emb = np.zeros((nx, nx))
-    r_emb = np.zeros((system.nu_total, system.nu_total))
-    owners = system.graphs.cost_in_neighbors(owner)
-    if owners:
-        xs = x_coords(owners, system.n_x)
-        us = u_coords(owners, system.n_u)
-        s_emb[np.ix_(xs, xs)] = system.s_blocks[owner]
-        r_emb[np.ix_(us, us)] = system.r_blocks[owner]
-    p = lyapunov_solve(closed.T, s_emb + gain.T @ r_emb @ gain)
-    return 2.0 * ((r_emb + system.b.T @ p @ system.b) @ gain + system.b.T @ p @ system.a) @ cov
+    embedded = extract_subsystem(system, policy, system.graphs.agents, cost_owners=(owner,))
+    p = lyapunov_solve(closed.T, embedded.s + gain.T @ embedded.r @ gain)
+    return 2.0 * ((embedded.r + system.b.T @ p @ system.b) @ gain + system.b.T @ p @ system.a) @ cov
 
 
 def decomposed_policy_gradient(
@@ -254,11 +242,9 @@ def decomposed_policy_gradient(
     deps = dependency_sets(system.graphs)
     total = np.zeros_like(policy.gain)
     for j in deps.gradient[agent]:
-        total += analytic_owner_gradient(system, policy.gain, j)
+        total += analytic_owner_gradient(system, policy, j)
     total /= system.n_agents
-    rows = u_coords((agent,), system.n_u)
-    cols = x_coords(system.graphs.observation_in_neighbors(agent), system.n_x)
-    return total[np.ix_(rows, cols)]
+    return total[policy.row_cells(agent)]
 
 
 def finite_difference_policy_gradient(

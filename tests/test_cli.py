@@ -9,11 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 from malspi import bounds as bounds_mod
-from malspi import cli, linalg
+from malspi import cli, examples, linalg
 from malspi.cli import main
-from malspi.config import ExperimentConfig, load_config, parse_config
+from malspi.config import load_config, parse_config
 from malspi.graphs import dependency_sets
-from malspi.system import build_system, extract_subsystem, zero_policy
+from malspi.system import extract_subsystem, zero_policy
 
 
 @pytest.fixture()
@@ -151,15 +151,13 @@ def test_bounds_measures_each_distinct_set_once(tmp_path):
 
 def test_bounds_never_shares_a_measurement_between_different_matrices(tmp_path, monkeypatch):
     odd = 4
-    build = ExperimentConfig.build_system
+    build_cost_blocks = examples.build_cost_blocks
 
-    def build_with_odd_follower(self):
-        base = build(self)
-        s_blocks = {**base.s_blocks, odd: 2.0 * base.s_blocks[odd]}
-        return build_system(base.graphs, base.n_x, base.n_u, base.a_blocks, base.b_blocks,
-                            s_blocks, base.r_blocks, base.sigma_w)
+    def cost_blocks_with_odd_follower(*args, **kwargs):
+        s_blocks, r_blocks = build_cost_blocks(*args, **kwargs)
+        return {**s_blocks, odd: 2.0 * s_blocks[odd]}, r_blocks
 
-    monkeypatch.setattr(ExperimentConfig, "build_system", build_with_odd_follower)
+    monkeypatch.setattr(examples, "build_cost_blocks", cost_blocks_with_odd_follower)
     path = tmp_path / "example2.json"
     path.write_text(json.dumps({"n_agents": 6, "example": "example2"}))
     systems, measured, _, _ = _bounds_with_counts(path)

@@ -10,6 +10,7 @@ from malspi.graphs import (
     graphical_conditions,
     value_dependency_edges,
 )
+from malspi.examples import generate_example1
 from malspi.verify import random_graphs, reachability_closure_oracle, value_set_oracle
 
 SELF2 = [(1, 1), (2, 2)]
@@ -71,6 +72,17 @@ def test_neighbor_accessors_reject_bad_agent():
                      g.cost_in_neighbors, g.cost_out_neighbors):
         for bad in (0, 4):
             with pytest.raises(GraphValidationError, match=r"outside 1\.\.3"):
+                accessor(bad)
+
+
+def test_neighbor_accessors_take_any_integer_index_but_bool():
+    g = generate_example1(4)
+    for accessor in (g.state_in_neighbors, g.observation_in_neighbors,
+                     g.cost_in_neighbors, g.cost_out_neighbors):
+        for i in g.agents:
+            assert accessor(np.int64(i)) == accessor(np.int32(i)) == accessor(i)
+        for bad in (True, False, np.bool_(True), 1.7, 2.0, np.float64(2.0), "2", None):
+            with pytest.raises(GraphValidationError, match="is not an integer"):
                 accessor(bad)
 
 

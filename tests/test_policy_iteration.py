@@ -349,7 +349,7 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
 
     factorized, solves, rebuilds = [], [], []
     real_solve = lstdq.LstdqOperator.solve_cost
-    real_build = system_mod.structured_policy_from_blocks
+    real_rebuild = system_mod.StructuredPolicy.with_row_gains
 
     class CountedOperator(lstdq.LstdqOperator):
         def __init__(self, bundle, **kwargs):
@@ -360,13 +360,13 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
         solves.append((self.bundle.index_set, self.bundle.owner_costs.shape))
         return real_solve(self)
 
-    def counted_build(*args, **kwargs):
+    def counted_rebuild(*args, **kwargs):
         rebuilds.append(1)
-        return real_build(*args, **kwargs)
+        return real_rebuild(*args, **kwargs)
 
     monkeypatch.setattr(policy_iteration, "LstdqOperator", CountedOperator)
     monkeypatch.setattr(lstdq.LstdqOperator, "solve_cost", counted_solve)
-    monkeypatch.setattr(system_mod, "structured_policy_from_blocks", counted_build)
+    monkeypatch.setattr(system_mod.StructuredPolicy, "with_row_gains", counted_rebuild)
     records = run_malspi(system, arch, cfg)
 
     assert all(not d.flags for r in records[1:] for d in r.agents)

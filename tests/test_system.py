@@ -100,12 +100,104 @@ def test_with_row_gains_replaces_listed_rows_only():
     np.testing.assert_array_equal(updated.row_gain(2), new_row)
     for i in (1, 3, 4):
         np.testing.assert_array_equal(updated.row_gain(i), policy.row_gain(i))
-    assert set(updated.blocks) == set(policy.blocks)
     policy_from_global_gain(g, 2, 1, updated.gain)  # raises on any off-pattern entry
 
     wrong = np.zeros((1, policy.row_gain(1).shape[1] + 1))
     with pytest.raises(ValueError, match="row gain for agent 1 must have shape"):
         policy.with_row_gains({2: new_row, 1: wrong})
+
+
+# (seed, n_x, n_u) of the random policies that pin the single gain representation.
+REPRESENTATION_CASES = [(0, 1, 1), (1, 2, 1), (2, 1, 3), (3, 3, 2)]
+
+
+def _graphs_with_a_blind_agent(rng, n_agents=5):
+    """Random coupling graphs in which agent 1 observes no one, itself included."""
+    g = random_graphs(rng, n_agents, edge_prob=0.5)
+    edges_o = [(j, i) for j, i in g.edges_o if i != 1]
+    return build_coupling_graphs(n_agents, g.edges_s, edges_o, g.edges_c)
+
+
+def _observed_cells(g, n_x, n_u, agents):
+    """Mask of the listed agents' observation blocks in the global gain."""
+    mask = np.zeros((g.n_agents * n_u, g.n_agents * n_x), dtype=bool)
+    for i in agents:
+        for j in g.observation_in_neighbors(i):
+            mask[(i - 1) * n_u : i * n_u, (j - 1) * n_x : j * n_x] = True
+    return mask
+
+
+def _random_blocks(rng, g, n_x, n_u):
+    return {(i, j): rng.normal(size=(n_u, n_x))
+            for i in g.agents for j in g.observation_in_neighbors(i)}
+
+
+@pytest.mark.parametrize("seed, n_x, n_u", REPRESENTATION_CASES)
+def test_row_gain_is_the_blocks_in_neighbor_order(seed, n_x, n_u):
+    rng = np.random.default_rng(seed)
+    g = _graphs_with_a_blind_agent(rng)
+    blocks = _random_blocks(rng, g, n_x, n_u)
+    policy = structured_policy_from_blocks(g, n_x, n_u, blocks)
+    assert g.observation_in_neighbors(1) == ()
+    for i in g.agents:
+        expected = np.hstack([np.zeros((n_u, 0))]
+                             + [blocks[(i, j)] for j in g.observation_in_neighbors(i)])
+        np.testing.assert_array_equal(policy.row_gain(i), expected)
+        np.testing.assert_array_equal(policy.row_gain(np.int64(i)), expected)
+
+
+@pytest.mark.parametrize("seed, n_x, n_u", REPRESENTATION_CASES)
+def test_with_row_gains_writes_only_the_listed_cells(seed, n_x, n_u):
+    rng = np.random.default_rng(seed)
+    g = _graphs_with_a_blind_agent(rng)
+    policy = structured_policy_from_blocks(g, n_x, n_u, _random_blocks(rng, g, n_x, n_u))
+    listed = (1, *sorted(rng.choice(np.arange(2, 6), size=2, replace=False).tolist()))
+    rows = {i: rng.normal(size=policy.row_gain(i).shape) for i in listed}
+    updated = policy.with_row_gains(rows)
+
+    for i in listed:
+        np.testing.assert_array_equal(updated.row_gain(i), rows[i])
+    kept = ~_observed_cells(g, n_x, n_u, listed)
+    assert updated.gain[kept].tobytes() == policy.gain[kept].tobytes()
+    assert not updated.gain[~_observed_cells(g, n_x, n_u, g.agents)].any()
+    assert not updated.gain.flags.writeable
+
+
+@pytest.mark.parametrize("seed, n_x, n_u", REPRESENTATION_CASES)
+def test_policy_from_global_gain_drops_small_off_pattern_entries_and_names_large_ones(
+    seed, n_x, n_u
+):
+    rng = np.random.default_rng(seed)
+    g = _graphs_with_a_blind_agent(rng)
+    pattern = _observed_cells(g, n_x, n_u, g.agents)
+    atol = 1e-3
+    gain = rng.normal(size=pattern.shape)
+    noisy = np.where(pattern, gain, rng.uniform(-atol, atol, size=gain.shape))
+    off_pattern = np.argwhere(~pattern)
+    r, c = off_pattern[rng.integers(len(off_pattern))]
+    noisy[r, c] = -atol  # at the tolerance: still dropped
+    policy = policy_from_global_gain(g, n_x, n_u, noisy, atol=atol)
+    np.testing.assert_array_equal(policy.gain, np.where(pattern, gain, 0.0))
+
+    noisy[r, c] = 2.0 * atol
+    with pytest.raises(GraphValidationError,
+                       match=rf"block \({r // n_u + 1}, {c // n_x + 1}\) lies outside"):
+        policy_from_global_gain(g, n_x, n_u, noisy, atol=atol)
+
+
+def test_extract_subsystem_takes_numpy_integers_and_rejects_other_indices():
+    g = generate_example1(4)
+    system = build_example_system(g, n_x=2, n_u=1)
+    policy = random_stabilizing_policy(np.random.default_rng(3), system)
+    ref = extract_subsystem(system, policy, [1, 2, 3, 4], cost_owners=[2])
+    sub = extract_subsystem(system, policy, np.arange(1, 5), cost_owners=[np.int64(2)])
+    assert sub.agents == ref.agents and all(type(a) is int for a in sub.agents)
+    for name in ("a", "b", "s", "r", "k"):
+        assert getattr(sub, name).tobytes() == getattr(ref, name).tobytes()
+    for index_set, owners in (([1.7, 2, 3, 4], [2]), ([1, 2, 3, 4], [2.9]),
+                              ([True, 2, 3, 4], [2]), ([1, 2, 3, 4], [True])):
+        with pytest.raises(GraphValidationError, match="is not an integer"):
+            extract_subsystem(system, policy, index_set, cost_owners=owners)
 
 
 def test_full_index_set_subsystem_equals_global():
