@@ -28,6 +28,7 @@ from .linalg import (
 from .system import (
     ClosureError,
     CostEvaluation,
+    EstimationSet,
     MultiAgentSystem,
     StructuredPolicy,
     Subsystem,
@@ -37,6 +38,7 @@ from .system import (
     bellman_residual,
     build_system,
     embed_quadratic,
+    estimation_set,
     extract_subsystem,
     policy_from_global_gain,
     rollout,
@@ -58,6 +60,7 @@ from .policy_iteration import (
     IterationRecord,
     MalspiConfig,
     architecture_plans,
+    estimation_sets,
     policy_gradient_update,
     run_malspi,
 )

@@ -30,7 +30,6 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 import scipy.linalg
@@ -38,8 +37,8 @@ import scipy.linalg.cython_lapack
 
 from .linalg import psd_project  # noqa: F401  unused; a perfbench span rebinds this name
 from .linalg import svec, svec_dim
-from .system import (MultiAgentSystem, StructuredPolicy, TrajectoryBatch, extract_subsystem,
-                     require_costs_inside, u_coords, x_coords)
+from .system import EstimationSet, MultiAgentSystem, StructuredPolicy, TrajectoryBatch
+from .system import extract_subsystem  # noqa: F401  unused; a perfbench span rebinds this name
 
 AgentSet = tuple[int, ...]
 
@@ -187,45 +186,45 @@ def _rcond(lu: np.ndarray, anorm: float) -> float:
     return rcond.value
 
 
-def build_regression(batch: TrajectoryBatch, index_set: Iterable[int],
-                     eval_policy: StructuredPolicy, cost_owner_set: Iterable[int],
-                     system: MultiAgentSystem) -> RegressionBundle:
-    """Assemble the error-in-variables regression for one agent subset.
+def build_regression(batch: TrajectoryBatch, est_set: EstimationSet,
+                     eval_policy: StructuredPolicy, system: MultiAgentSystem) -> RegressionBundle:
+    """Assemble the error-in-variables regression of one estimation set.
 
-    The evaluation policy is restricted to the subset, which must be closed
-    for exactness.  The aggregated cost sums the unaveraged stage costs of
-    ``cost_owner_set``; each owner's cost in-neighbors must lie inside the
-    subset.  Raises UnderdeterminedError when the trajectory is shorter than
-    the feature dimension.
+    ``est_set`` (``system.estimation_set``) was checked and laid out once,
+    so this gathers only what changes between iterations: the samples, the
+    evaluation gain's block on the set and the owners' stage costs, each
+    column the unaveraged cost of one of ``est_set.cost_owners``.  Raises
+    UnderdeterminedError when the trajectory is shorter than the feature
+    dimension.
     """
-    sub = extract_subsystem(system, eval_policy, index_set)  # owners' sets checked below
-    agents = sub.agents
-    t_length, m, d = batch.length, sub.m, svec_dim(sub.m)
+    xs_set, us_set = est_set.xs, est_set.us
+    t_length, nx = batch.length, len(xs_set)
+    m = nx + len(us_set)
+    d = svec_dim(m)
     if t_length < d:
         raise UnderdeterminedError(t_length, d)
 
-    # stacked samples [x; u] now and on-policy next, Fortran-ordered
-    xs = batch.states(agents)
+    # stacked samples [x; u] now and on-policy next, Fortran-ordered; one
+    # (T+1)-row state gather serves both
+    xs = batch.x[:, xs_set]
+    k = eval_policy.gain[us_set[:, None], xs_set]
     z_now = np.empty((t_length, m), order="F")
-    z_now[:, : sub.nx] = xs[:t_length]
-    z_now[:, sub.nx :] = batch.controls(agents)
+    z_now[:, :nx] = xs[:t_length]
+    z_now[:, nx:] = batch.u[:, us_set]
     z_next = np.empty((t_length, m), order="F")
-    z_next[:, : sub.nx] = xs[1 : t_length + 1]
-    np.matmul(z_next[:, : sub.nx], sub.k.T, out=z_next[:, sub.nx :])
-    g = np.vstack([np.eye(sub.nx), sub.k])
-    f_row = svec(sub.sigma_w**2 * (g @ g.T))
+    z_next[:, :nx] = xs[1 : t_length + 1]
+    np.matmul(z_next[:, :nx], k.T, out=z_next[:, nx:])
+    g = np.vstack([np.eye(nx), k])
+    f_row = svec(system.sigma_w**2 * (g @ g.T))
 
-    owners = tuple(sorted(set(int(a) for a in cost_owner_set)))
-    require_costs_inside(system.graphs, owners, agents)
+    owners = est_set.cost_owners
     owner_costs = np.zeros((t_length, len(owners)))
-    for col, j in enumerate(owners):
-        cost_set = system.graphs.cost_in_neighbors(j)
-        if cost_set:
-            xc = batch.x[:t_length, x_coords(cost_set, system.n_x)]
-            uc = batch.u[:t_length, u_coords(cost_set, system.n_u)]
+    for col, (j, (xc_set, uc_set)) in enumerate(zip(owners, est_set.owner_coords)):
+        if xc_set.size:
+            xc, uc = batch.x[:t_length, xc_set], batch.u[:t_length, uc_set]
             owner_costs[:, col] = (np.einsum("ti,ij,tj->t", xc, system.s_blocks[j], xc)
                                    + np.einsum("ti,ij,tj->t", uc, system.r_blocks[j], uc))
-    return RegressionBundle(index_set=agents, cost_owners=owners, n_x=system.n_x,
+    return RegressionBundle(index_set=est_set.agents, cost_owners=owners, n_x=system.n_x,
                             n_u=system.n_u, z_now=z_now, z_next=z_next, f_row=f_row,
                             owner_costs=owner_costs)
 

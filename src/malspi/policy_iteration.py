@@ -11,12 +11,12 @@ estimated:
 * ``indirect``     on each owner's own value dependence set
 * ``centralized``  on the full agent set
 
-Each iteration factorizes one regression per estimation set and solves it
-once for every cost owner estimated there (one multi-right-hand-side
-solve).  An agent's update sums the owners' Q matrices over its gradient
-dependence set, embedded into its update set, floors the sum's
-eigenvalues, and descends the resulting quadratic; the new rows of every
-agent are assembled into one policy.  With every dependence set equal to
+Each iteration factorizes one regression per estimation set (checked and
+laid out once per run) and solves it once for every cost owner estimated
+there (one multi-right-hand-side solve).  An agent's update sums the
+owners' Q matrices over its gradient dependence set, embedded into its
+update set, floors the sum's eigenvalues, and descends the resulting
+quadratic; the new rows of every agent are assembled into one policy.  With every dependence set equal to
 the full agent set, every architecture is therefore the identical
 computation.  Solves are shared across agents that use the same
 estimation set, which never changes any agent's result.
@@ -39,11 +39,13 @@ from .lstdq import (
     build_regression,
 )
 from .system import (
+    EstimationSet,
     MultiAgentSystem,
     StructuredPolicy,
     TrajectoryBatch,
     average_cost,
     embed_quadratic,
+    estimation_set,
     extract_subsystem,
     rollout,
     true_q_matrix,
@@ -108,6 +110,21 @@ def architecture_plans(
         terms = tuple((est_for[j], j) for j in grad_set)
         plans[i] = AgentPlan(agent=i, terms=terms, update_set=update_set, own_set=own)
     return plans
+
+
+def estimation_sets(
+    system: MultiAgentSystem, plans: Mapping[int, AgentPlan]
+) -> tuple[EstimationSet, ...]:
+    """Every estimation set of the plans, with the owners estimated on it.
+
+    Each set is checked and laid out once (``estimation_set``), in ascending
+    order of its agents; a run reuses them on every iteration.
+    """
+    owner_sets: dict[AgentSet, set[int]] = {}
+    for plan in plans.values():
+        for est_set, owner in plan.terms:
+            owner_sets.setdefault(est_set, set()).add(owner)
+    return tuple(estimation_set(system, s, owner_sets[s]) for s in sorted(owner_sets))
 
 
 def policy_gradient_update(
@@ -219,19 +236,19 @@ def _oracle_error(
 
 def _evaluate_set(
     batch: TrajectoryBatch,
-    est_set: AgentSet,
+    est_set: EstimationSet,
     policy: StructuredPolicy,
-    owners: AgentSet,
     system: MultiAgentSystem,
 ) -> tuple[tuple[str, ...], Optional[float], Optional[np.ndarray]]:
     """Flags, rcond and the d x k packed solution of one estimation set.
 
-    The packed solution is None when the set is flagged ``underdetermined``
-    or ``singular``.  The regression and its LU are local to this call, so
-    they are released before the caller builds the next set's.
+    Column j of the solution belongs to ``est_set.cost_owners[j]``; it is
+    None when the set is flagged ``underdetermined`` or ``singular``.  The
+    regression and its LU are local to this call, so they are released
+    before the caller builds the next set's.
     """
     try:
-        bundle = build_regression(batch, est_set, policy, owners, system)
+        bundle = build_regression(batch, est_set, policy, system)
     except UnderdeterminedError:
         return ("underdetermined",), None, None
     try:
@@ -255,6 +272,9 @@ def run_malspi(
     and carries their gains forward unchanged.  Deterministic given the
     config seed, regardless of how per-agent work is scheduled.
 
+    Every estimation set is checked and laid out once, before the first
+    iteration (``estimation_sets``); an iteration's evaluation gathers only
+    its samples, the iterate's gain blocks and the owners' costs.
     Estimation sets are evaluated one at a time and each set's regression
     and factorization are released before the next set's are built, so the
     evaluation step holds at most one set's T x m samples and
@@ -273,11 +293,7 @@ def run_malspi(
         raise InstabilityError("initial policy does not stabilize the system", rho0)
 
     plans = architecture_plans(architecture, dependency_sets(graphs), n)
-    owner_sets: dict[AgentSet, set[int]] = {}
-    for plan in plans.values():
-        for est_set, owner in plan.terms:
-            owner_sets.setdefault(est_set, set()).add(owner)
-    owners_by_set = {s: tuple(sorted(owner_sets[s])) for s in sorted(owner_sets)}
+    sets = estimation_sets(system, plans)
 
     seed_children = np.random.SeedSequence(config.seed).spawn(2 * config.n_iterations + 1)
     policy = k0
@@ -313,13 +329,14 @@ def run_malspi(
         solutions: dict[tuple[AgentSet, int], np.ndarray] = {}
         set_flags: dict[AgentSet, tuple[str, ...]] = {}
         set_rcond: dict[AgentSet, Optional[float]] = {}
-        for est_set, owners in owners_by_set.items():
-            set_flags[est_set], set_rcond[est_set], packed = _evaluate_set(
-                batch, est_set, policy, owners, system
+        for est_set in sets:
+            agents = est_set.agents
+            set_flags[agents], set_rcond[agents], packed = _evaluate_set(
+                batch, est_set, policy, system
             )
             if packed is not None:
-                for col, owner in enumerate(owners):
-                    solutions[(est_set, owner)] = smat(packed[:, col])
+                for col, owner in enumerate(est_set.cost_owners):
+                    solutions[(agents, owner)] = smat(packed[:, col])
         wall_eval = time.perf_counter() - t0
 
         # --- policy improvement: aggregate, floor eigenvalues, one gradient step

@@ -186,17 +186,22 @@ def policy_from_global_gain(
 
     Entries outside the pattern are dropped when their magnitude is at most
     ``atol``; a larger one raises, naming the block (i, j) of the largest.
+    A non-finite entry, on the pattern or off it, raises ValueError naming
+    its block.
     """
     gain = np.asarray(gain, dtype=float)
     n = graphs.n_agents
     if gain.shape != (n * n_u, n * n_x):
         raise ValueError(f"global gain must be {n * n_u}x{n * n_x}, got {gain.shape}")
+    non_finite = np.argwhere(~np.isfinite(gain))
+    if non_finite.size:
+        r, c = non_finite[0]
+        raise ValueError(f"global gain entry {gain[r, c]} in block "
+                         f"({r // n_u + 1}, {c // n_x + 1}) is not finite")
     policy = zero_policy(graphs, n_x, n_u)
     policy = policy.with_row_gains({i: gain[policy.row_cells(i)] for i in graphs.agents})
-    # What is left outside the pattern; NaN (ignored) only at non-finite entries.
-    with np.errstate(invalid="ignore"):
-        outside = np.abs(gain - policy.gain)
-    outside[~(outside > atol)] = 0.0
+    outside = np.abs(gain - policy.gain)  # what is left outside the pattern
+    outside[outside <= atol] = 0.0
     if outside.any():
         r, c = np.unravel_index(np.argmax(outside), outside.shape)
         raise GraphValidationError(
@@ -382,15 +387,67 @@ class Subsystem:
         return float(x @ self.s @ x + u @ self.r @ u)
 
 
-def require_costs_inside(graphs: CouplingGraphs, owners: Iterable[int],
-                         agents: AgentSet) -> None:
-    """Raise ClosureError unless every owner's cost in-neighbors lie in ``agents``."""
+def _checked_set(
+    graphs: CouplingGraphs, index_set: Iterable[int], cost_owners: Iterable[int]
+) -> tuple[AgentSet, AgentSet]:
+    """The sorted agents and cost owners of an agent set, checked for exact restriction.
+
+    Raises GraphValidationError on an index that is not an agent, ValueError
+    on an empty set, and ClosureError when the set is not closed under the
+    state/observation reachability relation or an owner's cost in-neighbors
+    leave it.
+    """
+    agents = tuple(sorted({graphs.require_valid_agent(a) for a in index_set}))
+    if not agents:
+        raise ValueError("index_set must contain at least one agent")
+    missing = missing_closure_agent(graphs, agents)
+    if missing is not None:
+        raise ClosureError(
+            f"index set {agents} is not closed: agent {missing} reaches it "
+            "through the state/observation graph"
+        )
+    owners = tuple(sorted({graphs.require_valid_agent(j) for j in cost_owners}))
     for j in owners:
         outside = [c for c in graphs.cost_in_neighbors(j) if c not in agents]
         if outside:
             raise ClosureError(
                 f"cost owner {j} depends on agents {outside} outside the index set {agents}"
             )
+    return agents, owners
+
+
+@dataclass(frozen=True)
+class EstimationSet:
+    """The fixed layout of one agent set's restricted LSTDQ regression.
+
+    ``agents`` and ``cost_owners`` are sorted; ``xs`` and ``us`` are the
+    set's global state and control coordinates; ``owner_coords[c]`` holds
+    the global (x, u) coordinates of ``cost_owners[c]``'s cost in-neighbors.
+    ``estimation_set`` builds one after the set check; nothing in it
+    depends on the policy or the samples, so one serves a whole run.
+    """
+
+    agents: AgentSet
+    cost_owners: AgentSet
+    xs: np.ndarray
+    us: np.ndarray
+    owner_coords: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def estimation_set(
+    system: MultiAgentSystem, index_set: Iterable[int], cost_owners: Iterable[int]
+) -> EstimationSet:
+    """Check an agent set and its cost owners once and lay out their coordinates.
+
+    Raises as ``extract_subsystem`` does on the same set and owners.
+    """
+    graphs, n_x, n_u = system.graphs, system.n_x, system.n_u
+    agents, owners = _checked_set(graphs, index_set, cost_owners)
+    owner_coords = tuple(
+        (x_coords(c, n_x), u_coords(c, n_u)) for c in map(graphs.cost_in_neighbors, owners)
+    )
+    return EstimationSet(agents, owners, x_coords(agents, n_x), u_coords(agents, n_u),
+                         owner_coords)
 
 
 def extract_subsystem(
@@ -409,16 +466,7 @@ def extract_subsystem(
     costs are summed raw.
     """
     graphs = system.graphs
-    agents = tuple(sorted({graphs.require_valid_agent(a) for a in index_set}))
-    if not agents:
-        raise ValueError("index_set must contain at least one agent")
-    missing = missing_closure_agent(graphs, agents)
-    if missing is not None:
-        raise ClosureError(
-            f"index set {agents} is not closed: agent {missing} reaches it "
-            "through the state/observation graph"
-        )
-    owners = tuple(sorted({graphs.require_valid_agent(j) for j in cost_owners}))
+    agents, owners = _checked_set(graphs, index_set, cost_owners)
     n_x, n_u = system.n_x, system.n_u
     xs = x_coords(agents, n_x)
     us = u_coords(agents, n_u)
@@ -431,7 +479,6 @@ def extract_subsystem(
     s_sub = np.zeros((dim_x, dim_x))
     r_sub = np.zeros((dim_u, dim_u))
     scale = 1.0 / system.n_agents if average else 1.0
-    require_costs_inside(graphs, owners, agents)
     for j in owners:
         cost_set = graphs.cost_in_neighbors(j)
         if not cost_set:

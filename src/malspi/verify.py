@@ -39,6 +39,7 @@ from .system import (
     build_system,
     bellman_offset,
     bellman_residual,
+    estimation_set,
     extract_subsystem,
     rollout,
     structured_policy_from_blocks,
@@ -504,7 +505,8 @@ def check_noise_free_lstdq(cases: Optional[Iterable] = None) -> CheckResult:
         deps = dependency_sets(system.graphs)
         for i in system.graphs.agents:
             owners = deps.gradient[i]
-            bundle = build_regression(batch, deps.direct[i], policy, owners, system)
+            est_set = estimation_set(system, deps.direct[i], owners)
+            bundle = build_regression(batch, est_set, policy, system)
             estimate = smat(LstdqOperator(bundle).solve_cost().sum(axis=1))
             sub = extract_subsystem(system, policy, deps.direct[i], cost_owners=owners)
             worst = max(worst, float(np.max(np.abs(estimate - true_q_matrix(sub)))))

@@ -2,7 +2,8 @@
 
 Each benchmark times ``build_regression``, ``LstdqOperator`` (the streamed
 operator, its LU and the condition estimate) and the owners' ``solve_cost``,
-the per-set work of one ``run_malspi`` iteration:
+the per-set work of one ``run_malspi`` iteration; the estimation set is
+checked and laid out once, outside the timed call, as a run does:
 
 * the ``full_set`` benchmark workload's regression: example1 with N=12
   agents and the 2x2 criterion-6 plant, every agent, d=1176, T=1226;
@@ -23,7 +24,7 @@ from malspi.config import parse_config
 from malspi.graphs import dependency_sets
 from malspi.linalg import svec_dim
 from malspi.lstdq import LstdqOperator, build_regression
-from malspi.system import rollout, zero_policy
+from malspi.system import estimation_set, rollout, zero_policy
 
 
 def _regression_inputs(data: dict, t_rollout: int, est_set=None, owners=None):
@@ -31,11 +32,11 @@ def _regression_inputs(data: dict, t_rollout: int, est_set=None, owners=None):
     policy = zero_policy(system.graphs, system.n_x, system.n_u)
     batch = rollout(system, policy, t_rollout, 1.0, 0)
     agents = tuple(system.graphs.agents)
-    return batch, est_set or agents, policy, owners or agents, system
+    return batch, estimation_set(system, est_set or agents, owners or agents), policy, system
 
 
-def _regression(batch, est_set, policy, owners, system):
-    bundle = build_regression(batch, est_set, policy, owners, system)
+def _regression(batch, est_set, policy, system):
+    bundle = build_regression(batch, est_set, policy, system)
     op = LstdqOperator(bundle)
     return bundle.d, op.solve_cost()
 

@@ -22,7 +22,7 @@ from malspi.lstdq import LstdqOperator, build_regression
 from malspi import policy_iteration
 from malspi.policy_iteration import Architecture, MalspiConfig, run_malspi
 from malspi.runner import run_experiment, timing_benchmark
-from malspi.system import extract_subsystem, rollout, true_q_matrix, zero_policy
+from malspi.system import estimation_set, extract_subsystem, rollout, true_q_matrix, zero_policy
 from malspi.verify import (
     build_noise_free_variant,
     check_bellman_residual,
@@ -112,13 +112,14 @@ def test_criterion_4_lstdq_exactness_and_rate():
     owners = deps2.gradient[1]
     q_true = svec(true_q_matrix(extract_subsystem(system, policy, agent_set,
                                                   cost_owners=owners)))
+    est_set = estimation_set(system, agent_set, owners)
     t_grid = (500, 2000, 8000, 32000)
     medians = []
     for t_len in t_grid:
         errors = []
         for seed in range(20):
             roll = rollout(system, policy, t_len, 1.0, seed=10_000 + 31 * seed + t_len)
-            bundle = build_regression(roll, agent_set, policy, owners, system)
+            bundle = build_regression(roll, est_set, policy, system)
             q = LstdqOperator(bundle).solve_cost().sum(axis=1)
             errors.append(float(np.linalg.norm(q - q_true)))
         medians.append(float(np.median(errors)))

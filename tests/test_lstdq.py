@@ -19,6 +19,7 @@ from malspi.lstdq import (
 )
 from malspi.system import (
     build_system,
+    estimation_set,
     extract_subsystem,
     rollout,
     structured_policy_from_blocks,
@@ -77,7 +78,7 @@ def test_feature_rows_hand_checked_smallest_instance():
     system = scalar_system(sigma_w=0.0)
     policy = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, policy, 3, 1.0, seed=0)
-    bundle = build_regression(batch, (1,), policy, (1,), system)
+    bundle = build_regression(batch, estimation_set(system, (1,), (1,)), policy, system)
     assert bundle.d == 3
     phi = _features(bundle)
     for t in range(3):
@@ -99,7 +100,7 @@ def test_noise_row_value():
     system = scalar_system(sigma_w=0.8)
     policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[-0.2]]})
     batch = rollout(system, policy, 10, 1.0, seed=1)
-    bundle = build_regression(batch, (1,), policy, (1,), system)
+    bundle = build_regression(batch, estimation_set(system, (1,), (1,)), policy, system)
     g = np.array([[1.0], [-0.2]])
     expected = 0.8**2 * (g @ g.T)
     np.testing.assert_allclose(
@@ -113,7 +114,7 @@ def test_empty_cost_owner_set_gives_zero_solution():
     system = scalar_system()
     policy = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, policy, 50, 1.0, seed=2)
-    bundle = build_regression(batch, (1,), policy, (), system)
+    bundle = build_regression(batch, estimation_set(system, (1,), ()), policy, system)
     assert bundle.owner_costs.shape == (50, 0)
     q = LstdqOperator(bundle).solve_cost()
     assert q.shape == (bundle.d, 0)
@@ -128,7 +129,7 @@ def test_aggregated_cost_matches_raw_recomputation():
     agents, owners = deps.direct[1], deps.gradient[1]
     t_length = svec_dim(3 * len(agents))
     batch = rollout(system, policy, t_length, 1.0, seed=3)
-    bundle = build_regression(batch, agents, policy, owners, system)
+    bundle = build_regression(batch, estimation_set(system, agents, owners), policy, system)
     sub = extract_subsystem(system, policy, agents, cost_owners=owners)
     xs, us = batch.states(agents), batch.controls(agents)
     expected = [sub.stage_cost(xs[t], us[t]) for t in range(t_length)]
@@ -140,7 +141,7 @@ def test_underdetermined_error_reports_required_length():
     policy = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, policy, 2, 1.0, seed=4)
     with pytest.raises(UnderdeterminedError) as err:
-        build_regression(batch, (1,), policy, (1,), system)
+        build_regression(batch, estimation_set(system, (1,), (1,)), policy, system)
     assert err.value.required == 3
 
 
@@ -148,7 +149,7 @@ def test_singular_operator_raises_with_advice():
     system = scalar_system(sigma_w=0.0)
     policy = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, policy, 20, 0.0, seed=5, x0=np.zeros(1), sigma0=0.0)
-    bundle = build_regression(batch, (1,), policy, (1,), system)
+    bundle = build_regression(batch, estimation_set(system, (1,), (1,)), policy, system)
     with pytest.raises(SingularOperatorError, match="longer trajectory"):
         LstdqOperator(bundle)
 
@@ -156,7 +157,8 @@ def test_singular_operator_raises_with_advice():
 def test_nan_operator_raises_singular():
     system = scalar_system()
     policy = zero_policy(system.graphs, 1, 1)
-    bundle = build_regression(rollout(system, policy, 20, 1.0, seed=5), (1,), policy, (1,), system)
+    bundle = build_regression(rollout(system, policy, 20, 1.0, seed=5),
+                              estimation_set(system, (1,), (1,)), policy, system)
     bundle = replace(bundle, z_now=np.full_like(bundle.z_now, np.nan))
     with pytest.raises(SingularOperatorError, match="1-norm nan") as err:
         LstdqOperator(bundle)
@@ -169,7 +171,7 @@ def test_rank_deficient_nonzero_operator_raises_singular():
     system = scalar_system(sigma_w=1.0)
     policy = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, policy, 50, 0.0, seed=11)
-    bundle = build_regression(batch, (1,), policy, (1,), system)
+    bundle = build_regression(batch, estimation_set(system, (1,), (1,)), policy, system)
     assert np.any(_features(bundle) != 0.0)
     with pytest.raises(SingularOperatorError, match="longer trajectory"):
         LstdqOperator(bundle)
@@ -187,7 +189,7 @@ def test_nearly_dependent_columns_fail_the_condition_estimate():
     system = random_system(rng, g, 1, 1)
     policy = random_stabilizing_policy(rng, system)
     batch = rollout(system, zero_policy(g, 1, 1), 200, 1.0, seed=12)
-    bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
+    bundle = build_regression(batch, estimation_set(system, (1, 2), (1, 2)), policy, system)
     z_now = bundle.z_now.copy(order="F")  # columns x1, x2, u1, u2
     z_now[:, 1] = np.sign(z_now[:, 1]) * (1.0 + 1e-14)
     z_now[:, 3] = 1.0
@@ -204,7 +206,7 @@ def test_lu_solve_matches_least_squares_reference():
     system = random_system(rng, g, 1, 1)
     policy = random_stabilizing_policy(rng, system)
     batch = rollout(system, zero_policy(g, 1, 1), 2000, 1.0, seed=14)
-    bundle = build_regression(batch, (1, 2), policy, (1, 2), system)
+    bundle = build_regression(batch, estimation_set(system, (1, 2), (1, 2)), policy, system)
     op = LstdqOperator(bundle)
     phi = _features(bundle)
     operator = phi.T @ _regressor_rows(bundle)
@@ -224,12 +226,12 @@ def test_solve_cost_columns_match_single_owner_solves():
     deps = dependency_sets(g)
     batch = rollout(system, zero_policy(g, 1, 1), 400, 1.0, seed=18)
     agents, owners = deps.direct[1], deps.gradient[1]
-    bundle = build_regression(batch, agents, policy, owners, system)
+    bundle = build_regression(batch, estimation_set(system, agents, owners), policy, system)
     assert bundle.owner_costs.shape == (400, len(owners)) and len(owners) > 1
     block = LstdqOperator(bundle).solve_cost()
     assert block.shape == (bundle.d, len(owners))
     for col, owner in enumerate(bundle.cost_owners):
-        own = build_regression(batch, agents, policy, (owner,), system)
+        own = build_regression(batch, estimation_set(system, agents, (owner,)), policy, system)
         np.testing.assert_array_equal(own.owner_costs[:, 0], bundle.owner_costs[:, col])
         single = LstdqOperator(own).solve_cost()
         assert single.shape == (bundle.d, 1)
@@ -243,7 +245,7 @@ def test_feature_and_regressor_rows_match_per_sample_svec():
     policy = random_stabilizing_policy(rng, system)
     batch = rollout(system, zero_policy(g, 2, 1), 60, 1.0, seed=22)
     agents = (1, 2, 3)
-    bundle = build_regression(batch, agents, policy, agents, system)
+    bundle = build_regression(batch, estimation_set(system, agents, agents), policy, system)
     assert bundle.z_now.flags.f_contiguous and bundle.z_next.flags.f_contiguous
     xs, us = batch.states(agents), batch.controls(agents)
     k = extract_subsystem(system, policy, agents).k
@@ -317,7 +319,7 @@ def test_blocked_operator_matches_a_reference_from_per_sample_rows(
     agents = tuple(g.agents)
     m = (n_x + n_u) * n_agents
     batch = rollout(system, zero_policy(g, n_x, n_u), svec_dim(m) + 40, 1.0, seed=24)
-    bundle = build_regression(batch, agents, policy, agents, system)
+    bundle = build_regression(batch, estimation_set(system, agents, agents), policy, system)
     t_length = bundle.t_length
     slab = t_length if slab is None else slab
     assert min(t_length, max(lstdq._SLAB_MIN_ROWS, lstdq._SLAB_BYTES // (16 * bundle.d))) == slab
@@ -351,7 +353,7 @@ def _full_set_regression(n_agents, t_extra=50, t_scale=1):
 def test_operator_holds_one_regressor_block_not_the_rows():
     # The full_set size: example1, N=12, n_x=n_u=2, all agents, T = d + 50.
     batch, agents, policy, system = _full_set_regression(12)
-    bundle = build_regression(batch, agents, policy, agents, system)
+    bundle = build_regression(batch, estimation_set(system, agents, agents), policy, system)
     d = bundle.d
     r = lstdq._SLAB_MIN_ROWS
     assert d == 1176 and lstdq._SLAB_BYTES // (16 * d) < r < bundle.t_length
@@ -369,7 +371,8 @@ def test_regression_peak_grows_with_t_only_by_the_samples():
         batch, agents, policy, system = _full_set_regression(9, t_scale=t_scale)
 
         def regression():
-            bundle = build_regression(batch, agents, policy, agents, system)
+            bundle = build_regression(batch, estimation_set(system, agents, agents), policy,
+                                      system)
             LstdqOperator(bundle).solve_cost()
             return bundle
 
@@ -387,8 +390,8 @@ def test_operator_keeps_the_condition_estimate():
     g = generate_example1(2)
     system = random_system(rng, g, 1, 1)
     policy = zero_policy(g, 1, 1)
-    bundle = build_regression(rollout(system, policy, 500, 1.0, seed=16), (1, 2), policy,
-                              (1, 2), system)
+    bundle = build_regression(rollout(system, policy, 500, 1.0, seed=16),
+                              estimation_set(system, (1, 2), (1, 2)), policy, system)
     operator = _features(bundle).T @ _regressor_rows(bundle)
     # the Hager/Higham estimate bounds the true reciprocal 1-norm condition from above
     true_rcond = 1.0 / np.linalg.cond(operator, 1)
@@ -400,7 +403,7 @@ def test_noise_free_recovery_is_exact_scalar():
     eval_policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[-0.3]]})
     play = zero_policy(system.graphs, 1, 1)
     batch = rollout(system, play, 60, 1.0, seed=6)
-    bundle = build_regression(batch, (1,), eval_policy, (1,), system)
+    bundle = build_regression(batch, estimation_set(system, (1,), (1,)), eval_policy, system)
     sub = extract_subsystem(system, eval_policy, (1,), cost_owners=(1,))
     np.testing.assert_allclose(_q_matrix(bundle), true_q_matrix(sub), atol=1e-6)
 
@@ -415,12 +418,14 @@ def test_noise_free_recovery_direct_and_per_owner_sets():
     batch = rollout(system, play, 500, 1.0, seed=8)
     for i in g.agents:
         # aggregated evaluation on the direct set
-        bundle = build_regression(batch, deps.direct[i], eval_policy, deps.gradient[i], system)
+        bundle = build_regression(batch, estimation_set(system, deps.direct[i], deps.gradient[i]),
+                                  eval_policy, system)
         sub = extract_subsystem(system, eval_policy, deps.direct[i],
                                 cost_owners=deps.gradient[i])
         np.testing.assert_allclose(_q_matrix(bundle), true_q_matrix(sub), atol=1e-6)
         # per-owner evaluation on the owner's value set
-        own = build_regression(batch, deps.value[i], eval_policy, (i,), system)
+        own = build_regression(batch, estimation_set(system, deps.value[i], (i,)), eval_policy,
+                               system)
         sub_own = extract_subsystem(system, eval_policy, deps.value[i], cost_owners=(i,))
         np.testing.assert_allclose(_q_matrix(own), true_q_matrix(sub_own), atol=1e-6)
 
@@ -433,7 +438,8 @@ def test_off_policy_consistency_noise_free():
     for k_play in (0.0, -0.6):
         play = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[k_play]]})
         batch = rollout(system, play, 80, 1.0, seed=9)
-        estimate = _q_matrix(build_regression(batch, (1,), eval_policy, (1,), system))
+        estimate = _q_matrix(build_regression(batch, estimation_set(system, (1,), (1,)),
+                                              eval_policy, system))
         np.testing.assert_allclose(estimate, q_true, atol=1e-6)
 
 
@@ -447,7 +453,8 @@ def test_longer_trajectories_reduce_error_on_paired_seeds():
         errors = {}
         for k, t_len in enumerate((500, 8000)):
             batch = rollout(system, policy, t_len, 1.0, seed=1000 * seed + k)
-            est = _q_matrix(build_regression(batch, (1,), policy, (1,), system))
+            est = _q_matrix(build_regression(batch, estimation_set(system, (1,), (1,)), policy,
+                                             system))
             errors[t_len] = np.linalg.norm(est - q_exact)
         if errors[8000] < errors[500]:
             improved += 1
@@ -471,7 +478,7 @@ def test_exact_parameter_empirical_residual_shrinks_like_inverse_sqrt():
         residuals = []
         for seed in range(12):
             batch = rollout(system, policy, t_len, 1.0, seed=70_000 + 13 * seed + t_len)
-            bundle = build_regression(batch, (1,), policy, (1,), system)
+            bundle = build_regression(batch, estimation_set(system, (1,), (1,)), policy, system)
             cost = bundle.owner_costs[:, 0]
             residuals.append(abs(np.mean(cost - _regressor_rows(bundle) @ q_vec)))
         means.append(np.median(residuals))

@@ -14,6 +14,7 @@ from malspi.policy_iteration import (
     Architecture,
     MalspiConfig,
     architecture_plans,
+    estimation_sets,
     policy_gradient_update,
     run_malspi,
 )
@@ -339,10 +340,7 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
     g = generate_example1(4)
     system = build_example_system(g, n_x=1, n_u=1)
     plans = architecture_plans(arch, dependency_sets(g), 4)
-    owners_by_set = {}
-    for plan in plans.values():
-        for est_set, owner in plan.terms:
-            owners_by_set.setdefault(est_set, set()).add(owner)
+    owners_by_set = {s.agents: s.cost_owners for s in estimation_sets(system, plans)}
     n_iter = 3
     cfg = MalspiConfig(n_iterations=n_iter, t_rollout=150, t_eval=50, alpha=1e-4, seed=12,
                        k0=zero_policy(g, 1, 1))
@@ -376,6 +374,32 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
         assert shape == (150, len(owners_by_set[est_set]))
     assert len(rebuilds) == n_iter
     assert any(not np.array_equal(r.gain, records[0].gain) for r in records[1:])
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_sets_are_checked_once_per_run_and_never_extracted(monkeypatch, arch):
+    g = generate_example1(4)
+    system = build_example_system(g, n_x=1, n_u=1)
+    n_sets = len(estimation_sets(system, architecture_plans(arch, dependency_sets(g), 4)))
+    real_missing = system_mod.missing_closure_agent
+    checks = []
+
+    def counted_missing(graphs, agents):
+        checks.append(agents)
+        return real_missing(graphs, agents)
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("an iteration extracted a subsystem")
+
+    monkeypatch.setattr(system_mod, "missing_closure_agent", counted_missing)
+    monkeypatch.setattr(lstdq, "extract_subsystem", no_extraction)
+    for n_iter in (2, 4):
+        checks.clear()
+        records = run_malspi(system, arch, MalspiConfig(n_iterations=n_iter, t_rollout=150,
+                                                        t_eval=50, alpha=1e-4, seed=12))
+        assert len(records) == n_iter + 1
+        assert all(not d.flags for r in records[1:] for d in r.agents)
+        assert len(checks) == n_sets
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from malspi.system import (
     bellman_offset,
     bellman_residual,
     build_system,
+    estimation_set,
     extract_subsystem,
     policy_from_global_gain,
     rollout,
@@ -89,6 +90,11 @@ def test_policy_sparsity_validation():
     bad = np.array([[0.0, 0.3], [0.0, 0.1]])
     with pytest.raises(GraphValidationError):
         policy_from_global_gain(g, 1, 1, bad)
+    # a non-finite entry raises whether it lies off the pattern or on it
+    for bad, block in (([[0.3, np.nan], [0.0, 0.1]], r"\(1, 2\)"),
+                       ([[np.inf, 0.0], [0.0, 0.1]], r"\(1, 1\)")):
+        with pytest.raises(ValueError, match=rf"block {block} is not finite"):
+            policy_from_global_gain(g, 1, 1, np.array(bad))
 
 
 def test_with_row_gains_replaces_listed_rows_only():
@@ -236,6 +242,37 @@ def test_extraction_rejects_open_set():
     policy = zero_policy(g, 1, 1)
     with pytest.raises(ClosureError, match="agent 1"):
         extract_subsystem(system, policy, (2,))
+
+
+def _set_check_system():
+    # agent 1 drives agent 2, and agent 1's cost depends on agent 2
+    g = build_coupling_graphs(2, [(1, 1), (2, 2), (1, 2)], [(1, 1), (2, 2)],
+                              [(1, 1), (2, 2), (2, 1)])
+    return build_system(g, 1, 1, {(1, 1): [[0.5]], (2, 2): [[0.5]], (2, 1): [[0.1]]},
+                        {(1, 1): [[1.0]], (2, 2): [[1.0]]},
+                        {1: np.eye(2), 2: [[1.0]]}, {1: np.eye(2), 2: [[1.0]]}, 1.0)
+
+
+@pytest.mark.parametrize("build", ["estimation_set", "extract_subsystem"])
+@pytest.mark.parametrize("index_set, owners, error, message", [
+    ((2,), (), ClosureError, r"index set \(2,\) is not closed: agent 1 reaches it"),
+    ((1,), (1,), ClosureError,
+     r"cost owner 1 depends on agents \[2\] outside the index set \(1,\)"),
+    ((), (), ValueError, "must contain at least one agent"),
+    ((True,), (), GraphValidationError, "is not an integer"),
+    ((1.0,), (), GraphValidationError, "is not an integer"),
+], ids=["open", "owner-cost-outside", "empty", "bool", "float"])
+def test_estimation_set_and_extract_subsystem_share_one_set_check(
+    build, index_set, owners, error, message
+):
+    system = _set_check_system()
+    policy = zero_policy(system.graphs, 1, 1)
+    assert estimation_set(system, (1, 2), (1, 2)).agents == (1, 2)
+    with pytest.raises(error, match=message):
+        if build == "estimation_set":
+            estimation_set(system, index_set, owners)
+        else:
+            extract_subsystem(system, policy, index_set, owners)
 
 
 def test_restricted_subsystem_reproduces_global_trajectory():
