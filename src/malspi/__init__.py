@@ -59,10 +59,12 @@ from .policy_iteration import (
     Architecture,
     IterationRecord,
     MalspiConfig,
+    StepLayout,
     architecture_plans,
     estimation_sets,
     policy_gradient_update,
     run_malspi,
+    step_layouts,
 )
 from .bounds import (
     BoundInputs,

@@ -89,8 +89,6 @@ class RegressionBundle:
 
     index_set: AgentSet
     cost_owners: AgentSet
-    n_x: int
-    n_u: int
     z_now: np.ndarray
     z_next: np.ndarray
     f_row: np.ndarray
@@ -98,7 +96,7 @@ class RegressionBundle:
 
     @property
     def m(self) -> int:
-        return (self.n_x + self.n_u) * len(self.index_set)
+        return self.z_now.shape[1]
 
     @property
     def d(self) -> int:
@@ -224,9 +222,8 @@ def build_regression(batch: TrajectoryBatch, est_set: EstimationSet,
             xc, uc = batch.x[:t_length, xc_set], batch.u[:t_length, uc_set]
             owner_costs[:, col] = (np.einsum("ti,ij,tj->t", xc, system.s_blocks[j], xc)
                                    + np.einsum("ti,ij,tj->t", uc, system.r_blocks[j], uc))
-    return RegressionBundle(index_set=est_set.agents, cost_owners=owners, n_x=system.n_x,
-                            n_u=system.n_u, z_now=z_now, z_next=z_next, f_row=f_row,
-                            owner_costs=owner_costs)
+    return RegressionBundle(index_set=est_set.agents, cost_owners=owners, z_now=z_now,
+                            z_next=z_next, f_row=f_row, owner_costs=owner_costs)
 
 
 class LstdqOperator:

@@ -11,15 +11,17 @@ estimated:
 * ``indirect``     on each owner's own value dependence set
 * ``centralized``  on the full agent set
 
-Each iteration factorizes one regression per estimation set (checked and
-laid out once per run) and solves it once for every cost owner estimated
-there (one multi-right-hand-side solve).  An agent's update sums the
-owners' Q matrices over its gradient dependence set, embedded into its
-update set, floors the sum's eigenvalues, and descends the resulting
-quadratic; the new rows of every agent are assembled into one policy.  With every dependence set equal to
-the full agent set, every architecture is therefore the identical
-computation.  Solves are shared across agents that use the same
-estimation set, which never changes any agent's result.
+Each iteration factorizes one regression per estimation set and solves it
+once for every cost owner estimated there (one multi-right-hand-side
+solve).  An agent's update sums the owners' Q matrices over its gradient
+dependence set, embedded into its update set, floors the sum's
+eigenvalues, and descends the resulting quadratic; the new rows of every
+agent are assembled into one policy.  Estimation sets and step layouts
+are checked and laid out once per run: only the weights change between
+iterations.  With every dependence set equal to the full agent set,
+every architecture is therefore the identical computation.  Solves are
+shared across agents that use the same estimation set, which never
+changes any agent's result.
 """
 from __future__ import annotations
 
@@ -44,14 +46,16 @@ from .system import (
     StructuredPolicy,
     TrajectoryBatch,
     average_cost,
-    embed_quadratic,
     estimation_set,
     extract_subsystem,
     rollout,
     true_q_matrix,
+    u_coords,
+    x_coords,
     z_embedding_indices,
     zero_policy,
 )
+from .system import embed_quadratic  # noqa: F401  unused; a perfbench span rebinds this name
 
 AgentSet = tuple[int, ...]
 
@@ -127,47 +131,73 @@ def estimation_sets(
     return tuple(estimation_set(system, s, owner_sets[s]) for s in sorted(owner_sets))
 
 
+@dataclass(frozen=True)
+class StepLayout:
+    """One agent's improvement step, laid out once per run by ``step_layouts``.
+
+    The update set's samples are z_t = [x(t)[xs]; u(t)[us]]; ``term_cells[c]``
+    is where the plan's term c goes in the update-set aggregate; ``u_cols``
+    are the agent's columns of z and ``cells`` its ``row_cells``.
+    """
+
+    plan: AgentPlan
+    xs: np.ndarray
+    us: np.ndarray
+    term_cells: tuple
+    u_cols: np.ndarray
+    cells: tuple[slice, np.ndarray]
+
+
+def step_layouts(policy: StructuredPolicy, plans: Mapping[int, AgentPlan]) -> dict[int, StepLayout]:
+    """The layout of each agent whose plan has terms, keyed by agent, agents
+    sharing an update set adjacent.  Reads only the policy's graphs and sizes.
+    Raises ValueError when an agent or one it observes is outside its update set.
+    """
+    n_x, n_u = policy.n_x, policy.n_u
+    groups: dict[AgentSet, list[StepLayout]] = {}
+    for plan in (p for p in plans.values() if p.terms):
+        agent, update_set = plan.agent, plan.update_set
+        if agent not in update_set:
+            raise ValueError(f"agent {agent} is not in the estimate's index set {update_set}")
+        outside = [j for j in policy.graphs.observation_in_neighbors(agent) if j not in update_set]
+        if outside:
+            raise ValueError(f"agent {agent} observes {outside} outside the estimate's index "
+                             f"set {update_set}")
+        term_cells = tuple(  # all of the aggregate, or the term's np.ix_ block of it
+            ... if s == update_set else np.ix_(*[z_embedding_indices(s, update_set, n_x, n_u)] * 2)
+            for s, _ in plan.terms)
+        groups.setdefault(update_set, []).append(StepLayout(
+            plan, x_coords(update_set, n_x), u_coords(update_set, n_u), term_cells,
+            z_embedding_indices((agent,), update_set, n_x, n_u)[n_x:], policy.row_cells(agent)))
+    return {layout.plan.agent: layout for group in groups.values() for layout in group}
+
+
 def policy_gradient_update(
     policy: StructuredPolicy,
-    estimates: Mapping[int, tuple[AgentSet, np.ndarray]],
+    steps: Iterable[tuple[StepLayout, np.ndarray]],
     batch: TrajectoryBatch,
     alpha: float,
 ) -> StructuredPolicy:
     """One gradient step on each listed agent's gain from an estimated quadratic.
 
-    ``estimates[i] = (index_set, Q)`` with Q a quadratic form on the index
-    set's stacked (x, u) coordinates.  Agent i's step is
+    ``steps`` pairs an agent's ``StepLayout`` with Q, a quadratic form on
+    its update set's stacked (x, u) coordinates.  Agent i's step is
     K_i <- K_i - 2 alpha * mean_t [ (Q z_t)_{u_i rows} x_O(t)' ] with z_t
-    the batch's stacked state/control restricted to the index set, formed
-    once per distinct index set; the new rows are assembled into one
-    policy.  Only the blocks over each agent's observation in-neighbors
-    change, so the sparsity pattern is preserved.
-    Raises ValueError when an agent or an agent it observes lies outside
-    its index set.
+    the batch's stacked state/control on the update set, formed once per
+    run of adjacent agents sharing it (as ``step_layouts`` orders them);
+    the new rows are assembled into one policy.  Only the blocks over each
+    agent's observation in-neighbors change, so the pattern is preserved.
     """
     t_length = batch.length
-    by_set: dict[AgentSet, list[tuple[int, np.ndarray]]] = {}
-    for agent, (agent_set, q) in estimates.items():
-        if agent not in agent_set:
-            raise ValueError(f"agent {agent} is not in the estimate's index set {agent_set}")
-        observed = policy.graphs.observation_in_neighbors(agent)
-        outside = [j for j in observed if j not in agent_set]
-        if outside:
-            raise ValueError(
-                f"agent {agent} observes {outside} outside the estimate's index set {agent_set}"
-            )
-        if observed:
-            by_set.setdefault(tuple(agent_set), []).append((agent, q))
     rows: dict[int, np.ndarray] = {}
-    for agent_set, members in by_set.items():
-        # One T x m sample matrix per distinct index set, shared by its agents.
-        z = np.hstack([batch.states(agent_set)[:t_length], batch.controls(agent_set)])
-        for agent, q in members:
-            cols = z_embedding_indices((agent,), agent_set, policy.n_x, policy.n_u)[policy.n_x :]
-            cells = policy.row_cells(agent)
-            x_obs = batch.x[:t_length, cells[1]]
-            grad = ((z @ q[:, cols]).T @ x_obs) / t_length
-            rows[agent] = policy.gain[cells] - 2.0 * alpha * grad
+    z_set = None
+    for layout, q in steps:
+        if layout.plan.update_set != z_set:  # one T x m sample matrix per update set
+            z_set = layout.plan.update_set
+            z = np.hstack([batch.x[:t_length, layout.xs], batch.u[:, layout.us]])
+        x_obs = batch.x[:t_length, layout.cells[1]]
+        grad = ((z @ q[:, layout.u_cols]).T @ x_obs) / t_length
+        rows[layout.plan.agent] = policy.gain[layout.cells] - 2.0 * alpha * grad
     return policy.with_row_gains(rows) if rows else policy
 
 
@@ -281,19 +311,20 @@ def run_malspi(
     (d^2 + 2 r d + d k) * 8 bytes: its LU, the two r x d slabs it is
     streamed through and its k owners' right-hand sides (``LstdqOperator``;
     r = 256 at d >= 1024), with d the largest set's feature dimension:
-    16.0 MB at d=1176, 453 MB at d=7260.  Each agent's owner terms are
-    added into one zeroed aggregate (``embed_quadratic(out=)``).
+    16.0 MB at d=1176, 453 MB at d=7260.  Each agent's step is checked and
+    laid out once too (``step_layouts``); its owner terms are added into
+    one zeroed aggregate through the layout's cells.
     """
     graphs = system.graphs
     n = graphs.n_agents
-    n_x, n_u = system.n_x, system.n_u
-    k0 = config.k0 if config.k0 is not None else zero_policy(graphs, n_x, n_u)
+    k0 = config.k0 if config.k0 is not None else zero_policy(graphs, system.n_x, system.n_u)
     rho0 = spectral_radius(system.a + system.b @ k0.gain)
     if rho0 >= 1.0:
         raise InstabilityError("initial policy does not stabilize the system", rho0)
 
     plans = architecture_plans(architecture, dependency_sets(graphs), n)
     sets = estimation_sets(system, plans)
+    layouts = step_layouts(k0, plans)
 
     seed_children = np.random.SeedSequence(config.seed).spawn(2 * config.n_iterations + 1)
     policy = k0
@@ -341,7 +372,7 @@ def run_malspi(
 
         # --- policy improvement: aggregate, floor eigenvalues, one gradient step
         t1 = time.perf_counter()
-        estimates: dict[int, tuple[AgentSet, np.ndarray]] = {}
+        estimates: dict[int, np.ndarray] = {}
         diags: list[AgentDiagnostics] = []
         for i in graphs.agents:
             plan = plans[i]
@@ -350,17 +381,16 @@ def run_malspi(
             if not plan.terms:
                 flags = ("empty_gradient_set",)
             elif not flags:
-                m_update = (n_x + n_u) * len(plan.update_set)
+                m_update = (system.n_x + system.n_u) * len(plan.update_set)
                 aggregate = np.zeros((m_update, m_update))
-                for est_set, owner in plan.terms:
-                    embed_quadratic(solutions[(est_set, owner)], est_set, plan.update_set,
-                                    n_x, n_u, out=aggregate)
+                for term, cells in zip(plan.terms, layouts[i].term_cells):
+                    aggregate[cells] += solutions[term]
                 if config.oracle_diagnostics:
                     owners = tuple(owner for _, owner in plan.terms)
                     q_error, flags = _oracle_error(
                         system, policy, plan.update_set, owners, aggregate
                     )
-                estimates[i] = (plan.update_set, psd_project(aggregate, config.zeta))
+                estimates[i] = psd_project(aggregate, config.zeta)
             diags.append(
                 AgentDiagnostics(
                     agent=i,
@@ -369,7 +399,8 @@ def run_malspi(
                     q_error=q_error,
                 )
             )
-        policy = policy_gradient_update(policy, estimates, batch, config.alpha)
+        steps = [(layout, estimates[i]) for i, layout in layouts.items() if i in estimates]
+        policy = policy_gradient_update(policy, steps, batch, config.alpha)
         wall_update = time.perf_counter() - t1
 
         cost = average_cost(

@@ -75,23 +75,12 @@ def z_embedding_indices(
 
 
 def embed_quadratic(
-    q_small: np.ndarray, small_set: Iterable[int], big_set: Iterable[int], n_x: int, n_u: int,
-    out: Optional[np.ndarray] = None,
+    q_small: np.ndarray, small_set: Iterable[int], big_set: Iterable[int], n_x: int, n_u: int
 ) -> np.ndarray:
-    """Zero-pad a quadratic form on the small set's (x, u) coordinates to the big set's.
-
-    With ``out`` (m x m on the big set), ``q_small`` is added into its block
-    of ``out`` in place, and ``out`` is returned; when the two sets are
-    equal, that block is all of ``out`` and no indices are formed.
-    """
-    small, big = sorted(small_set), sorted(big_set)
-    if out is not None and small == big:
-        out += q_small
-        return out
-    idx = z_embedding_indices(small, big, n_x, n_u)
-    if out is None:
-        m_big = (n_x + n_u) * len(set(big))
-        out = np.zeros((m_big, m_big))
+    """Zero-pad a quadratic form on the small set's (x, u) coordinates to the big set's."""
+    idx = z_embedding_indices(small_set, big_set, n_x, n_u)
+    m_big = (n_x + n_u) * len(set(big_set))
+    out = np.zeros((m_big, m_big))
     out[np.ix_(idx, idx)] += q_small
     return out
 
@@ -555,20 +544,10 @@ class TrajectoryBatch:
 
     x: np.ndarray
     u: np.ndarray
-    n_x: int
-    n_u: int
 
     @property
     def length(self) -> int:
         return self.u.shape[0]
-
-    def states(self, agent_set: Iterable[int]) -> np.ndarray:
-        """State columns of the agents in the set, all T+1 rows."""
-        return self.x[:, x_coords(agent_set, self.n_x)]
-
-    def controls(self, agent_set: Iterable[int]) -> np.ndarray:
-        """Control columns of the agents in the set, T rows."""
-        return self.u[:, u_coords(agent_set, self.n_u)]
 
 
 def _initial_state(
@@ -645,7 +624,7 @@ def rollout(
     _times_transposed(etas, system.b, out=drive)  # B eta_t + w_t
     _simulate(system, gain, x, drive)
     u = _times_transposed(x[:t_length], gain, out=etas)  # K x_t + eta_t, over eta
-    return TrajectoryBatch(x=_as_readonly(x), u=_as_readonly(u), n_x=system.n_x, n_u=system.n_u)
+    return TrajectoryBatch(x=_as_readonly(x), u=_as_readonly(u))
 
 
 @dataclass(frozen=True)

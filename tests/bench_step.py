@@ -1,8 +1,9 @@
 """Microbenchmarks of the policy-improvement step (pytest-benchmark).
 
 Each benchmark times ``policy_gradient_update`` for every agent of one
-``run_malspi`` iteration, reading each agent's row with ``row_gain`` and
-writing all of them back with one ``with_row_gains``:
+``run_malspi`` iteration, with the step layouts built once outside the
+timed call (``step_layouts``, as a run does) and every agent's new row
+written back with one ``with_row_gains``:
 
 * the ``full_set`` benchmark workload's step: example1 with N=12 agents and
   the 2x2 criterion-6 plant, ``centralized`` (every agent updates on the
@@ -26,7 +27,12 @@ import pytest
 from malspi.config import parse_config
 from malspi.graphs import dependency_sets
 from malspi.linalg import svec_dim
-from malspi.policy_iteration import Architecture, architecture_plans, policy_gradient_update
+from malspi.policy_iteration import (
+    Architecture,
+    architecture_plans,
+    policy_gradient_update,
+    step_layouts,
+)
 from malspi.system import rollout, zero_policy
 
 PLANT = {"a_self": [[0.85, 0.01], [0.01, 0.85]]}
@@ -45,8 +51,9 @@ def _step_inputs(example: str, n_agents: int, architecture: Architecture, t_roll
             m = (system.n_x + system.n_u) * len(plan.update_set)
             g = rng.normal(size=(m, m))
             q_by_set[plan.update_set] = g.T @ g / m
-    estimates = {i: (plan.update_set, q_by_set[plan.update_set]) for i, plan in plans.items()}
-    return policy, estimates, batch
+    steps = [(layout, q_by_set[layout.plan.update_set])
+             for layout in step_layouts(policy, plans).values()]
+    return policy, steps, batch
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +67,13 @@ def example2_n400_indirect_step():
 
 
 def test_step_full_set(benchmark, full_set_step):
-    policy, estimates, batch = full_set_step
-    updated = benchmark(policy_gradient_update, policy, estimates, batch, 1e-3)
+    policy, steps, batch = full_set_step
+    updated = benchmark(policy_gradient_update, policy, steps, batch, 1e-3)
     assert updated.gain.shape == policy.gain.shape and updated.gain.any()
 
 
 def test_step_example2_n400_indirect(benchmark, example2_n400_indirect_step):
-    policy, estimates, batch = example2_n400_indirect_step
-    assert max(len(s) for s, _ in estimates.values()) == 400
-    updated = benchmark(policy_gradient_update, policy, estimates, batch, 1e-3)
+    policy, steps, batch = example2_n400_indirect_step
+    assert max(len(layout.plan.update_set) for layout, _ in steps) == 400
+    updated = benchmark(policy_gradient_update, policy, steps, batch, 1e-3)
     assert updated.gain.shape == policy.gain.shape and updated.gain.any()

@@ -24,6 +24,8 @@ from malspi.system import (
     rollout,
     structured_policy_from_blocks,
     true_q_matrix,
+    u_coords,
+    x_coords,
     zero_policy,
 )
 from malspi.verify import build_noise_free_variant, random_stabilizing_policy, random_system
@@ -131,7 +133,7 @@ def test_aggregated_cost_matches_raw_recomputation():
     batch = rollout(system, policy, t_length, 1.0, seed=3)
     bundle = build_regression(batch, estimation_set(system, agents, owners), policy, system)
     sub = extract_subsystem(system, policy, agents, cost_owners=owners)
-    xs, us = batch.states(agents), batch.controls(agents)
+    xs, us = batch.x[:, x_coords(agents, system.n_x)], batch.u[:, u_coords(agents, system.n_u)]
     expected = [sub.stage_cost(xs[t], us[t]) for t in range(t_length)]
     np.testing.assert_allclose(bundle.owner_costs.sum(axis=1), expected, rtol=1e-12)
 
@@ -247,7 +249,7 @@ def test_feature_and_regressor_rows_match_per_sample_svec():
     agents = (1, 2, 3)
     bundle = build_regression(batch, estimation_set(system, agents, agents), policy, system)
     assert bundle.z_now.flags.f_contiguous and bundle.z_next.flags.f_contiguous
-    xs, us = batch.states(agents), batch.controls(agents)
+    xs, us = batch.x[:, x_coords(agents, system.n_x)], batch.u[:, u_coords(agents, system.n_u)]
     k = extract_subsystem(system, policy, agents).k
     phi, psi = _features(bundle), _svec_samples(bundle.z_next)
     for t in range(batch.length):

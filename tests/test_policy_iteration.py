@@ -1,4 +1,5 @@
 """Policy gradient updates and the full iteration loop."""
+import dataclasses
 import math
 import weakref
 
@@ -9,18 +10,21 @@ from malspi import lstdq, policy_iteration
 from malspi import system as system_mod
 from malspi.graphs import DependencySets, build_coupling_graphs, dependency_sets
 from malspi.examples import build_example_system, generate_example1, generate_example2
-from malspi.linalg import InstabilityError, psd_project
+from malspi.linalg import InstabilityError, psd_project, smat
 from malspi.policy_iteration import (
+    AgentPlan,
     Architecture,
     MalspiConfig,
     architecture_plans,
     estimation_sets,
     policy_gradient_update,
     run_malspi,
+    step_layouts,
 )
 from malspi.system import (
     average_cost,
     build_system,
+    embed_quadratic,
     extract_subsystem,
     policy_from_global_gain,
     rollout,
@@ -49,13 +53,24 @@ def riccati_optimal_gain(a, b, s, r):
     return -(b * p * a) / (r + b * p * b)
 
 
+def own_plan(agent, update_set):
+    """A plan in which the agent steps on its own cost, estimated on its update set."""
+    return AgentPlan(agent=agent, terms=((update_set, agent),), update_set=update_set,
+                     own_set=update_set)
+
+
+def one_step(policy, agent, update_set, q):
+    """The (layout, Q) pair of one agent stepping on Q over its update set."""
+    return step_layouts(policy, {agent: own_plan(agent, update_set)})[agent], q
+
+
 def test_zero_learning_rate_leaves_policy_unchanged():
     system = scalar_system()
     policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[-0.4]]})
     batch = rollout(system, policy, 50, 1.0, seed=0)
     sub = extract_subsystem(system, policy, (1,), cost_owners=(1,))
-    est = ((1,), true_q_matrix(sub))
-    updated = policy_gradient_update(policy, {1: est}, batch, alpha=0.0)
+    step = one_step(policy, 1, (1,), true_q_matrix(sub))
+    updated = policy_gradient_update(policy, [step], batch, alpha=0.0)
     assert np.array_equal(updated.gain, policy.gain)
 
 
@@ -66,8 +81,8 @@ def test_update_vanishes_at_riccati_optimum():
     policy = structured_policy_from_blocks(system.graphs, 1, 1, {(1, 1): [[k_star]]})
     batch = rollout(system, policy, 10_000, 1.0, seed=1)
     sub = extract_subsystem(system, policy, (1,), cost_owners=(1,))
-    est = ((1,), true_q_matrix(sub))
-    updated = policy_gradient_update(policy, {1: est}, batch, alpha=1e-3)
+    step = one_step(policy, 1, (1,), true_q_matrix(sub))
+    updated = policy_gradient_update(policy, [step], batch, alpha=1e-3)
     assert abs(updated.gain[0, 0] - k_star) <= 1e-2 * abs(k_star)
 
 
@@ -80,8 +95,8 @@ def test_update_preserves_sparsity_and_only_touches_agent_row():
     agent = 1
     agent_set = deps.direct[agent]
     sub = extract_subsystem(system, policy, agent_set, cost_owners=deps.gradient[agent])
-    est = (agent_set, true_q_matrix(sub))
-    updated = policy_gradient_update(policy, {agent: est}, batch, alpha=1e-4)
+    step = one_step(policy, agent, agent_set, true_q_matrix(sub))
+    updated = policy_gradient_update(policy, [step], batch, alpha=1e-4)
     policy_from_global_gain(g, 1, 1, updated.gain)  # raises on any off-pattern entry
     changed = np.argwhere(updated.gain != policy.gain)
     assert changed.size > 0
@@ -95,10 +110,11 @@ def test_update_rejects_set_missing_observed_agents():
                           {(1, 1): [[1.0]], (2, 2): [[1.0]]},
                           {1: [[1.0]], 2: [[1.0]]}, {1: [[1.0]], 2: [[1.0]]}, 1.0)
     policy = zero_policy(g, 1, 1)
-    batch = rollout(system, policy, 30, 1.0, seed=3)
-    est = ((1,), np.eye(2))
-    with pytest.raises(ValueError, match="observes"):
-        policy_gradient_update(policy, {1: est}, batch, alpha=1e-3)
+    with pytest.raises(ValueError, match=r"agent 1 observes \[2\] outside"):
+        step_layouts(policy, {1: own_plan(1, (1,))})
+    with pytest.raises(ValueError, match=r"agent 1 is not in the estimate's index set \(2,\)"):
+        step_layouts(policy, {1: own_plan(1, (2,))})
+    assert 1 in step_layouts(policy, {1: own_plan(1, (1, 2))})
 
 
 def test_update_direction_matches_empirical_finite_differences():
@@ -118,8 +134,8 @@ def test_update_direction_matches_empirical_finite_differences():
     batch = rollout(system, policy, t_len, 0.3, seed=5)
     everyone = tuple(g.agents)
     sub = extract_subsystem(system, policy, everyone, cost_owners=deps.gradient[agent])
-    est = (everyone, true_q_matrix(sub))
-    updated = policy_gradient_update(policy, {agent: est}, batch, alpha=1.0)
+    step = one_step(policy, agent, everyone, true_q_matrix(sub))
+    updated = policy_gradient_update(policy, [step], batch, alpha=1.0)
     direction = (policy.row_gain(agent) - updated.row_gain(agent)).ravel()
 
     eps = 1e-4
@@ -281,35 +297,40 @@ def test_forced_full_sets_collapse_architectures_bitwise(monkeypatch):
 
 def test_in_place_aggregate_is_bitwise_the_sum_of_embedded_terms(monkeypatch):
     # example2's leader sums one owner term per agent; every aggregate
-    # run_malspi floors must equal the sum of zero-padded terms, also where
-    # a term's set is the update set (every direct term), which
-    # embed_quadratic adds without indexing
+    # run_malspi floors must equal the sum of embed_quadratic's zero-padded
+    # terms, also where a term's set is the update set (every direct term),
+    # which the step layout adds without indexing
     g = generate_example2(5)
     system = build_example_system(g, n_x=1, n_u=1)
     cfg = MalspiConfig(n_iterations=2, t_rollout=150, t_eval=50, alpha=1e-4, seed=13,
                        k0=zero_policy(g, 1, 1))
-    terms, checked = [], []
-    real_embed, real_project = policy_iteration.embed_quadratic, policy_iteration.psd_project
+    solutions, checked = {}, []
+    real_evaluate, real_project = policy_iteration._evaluate_set, policy_iteration.psd_project
 
-    def recorded_embed(q_small, small_set, big_set, n_x, n_u, out=None):
-        terms.append((q_small.copy(), small_set, big_set, out))
-        return real_embed(q_small, small_set, big_set, n_x, n_u, out=out)
+    def recorded_evaluate(batch, est_set, policy, system):
+        result = real_evaluate(batch, est_set, policy, system)
+        for col, owner in enumerate(est_set.cost_owners):
+            solutions[(est_set.agents, owner)] = smat(result[2][:, col])
+        return result
 
     def checked_project(aggregate, zeta):
-        own = [t for t in terms if t[3] is aggregate]
-        summed = sum(real_embed(q, small, big, 1, 1) for q, small, big, _ in own)
-        assert aggregate.tobytes() == summed.tobytes()
-        checked.append(len(own))
+        plan = plans[len(checked) % 5 + 1]  # aggregates are floored in agent order
+        terms = [(embed_quadratic(solutions[term], term[0], plan.update_set, 1, 1),
+                  term[0] == plan.update_set) for term in plan.terms]
+        assert aggregate.tobytes() == sum(q for q, _ in terms).tobytes()
+        checked.append((len(terms), sum(whole for _, whole in terms)))
         return real_project(aggregate, zeta)
 
-    monkeypatch.setattr(policy_iteration, "embed_quadratic", recorded_embed)
+    monkeypatch.setattr(policy_iteration, "_evaluate_set", recorded_evaluate)
     monkeypatch.setattr(policy_iteration, "psd_project", checked_project)
     for arch in (Architecture.INDIRECT, Architecture.DIRECT):
-        terms.clear()
+        plans = architecture_plans(arch, dependency_sets(g), 5)
         checked.clear()
         run_malspi(system, arch, cfg)
-        assert len(checked) == 2 * 5 and max(checked) == 5
-    assert all(small == big for _, small, big, _ in terms)
+        assert len(checked) == 2 * 5 and max(n for n, _ in checked) == 5
+        n_terms, n_whole = map(sum, zip(*checked))
+        # every direct term is on its update set; the indirect leader's are not
+        assert n_whole == n_terms if arch is Architecture.DIRECT else n_whole < n_terms
 
 
 def test_architecture_plan_layouts():
@@ -391,15 +412,51 @@ def test_sets_are_checked_once_per_run_and_never_extracted(monkeypatch, arch):
     def no_extraction(*args, **kwargs):
         raise AssertionError("an iteration extracted a subsystem")
 
+    real_embedding = system_mod.z_embedding_indices
+    embeddings = []
+
+    def counted_embedding(*args, **kwargs):
+        embeddings.append(args)
+        return real_embedding(*args, **kwargs)
+
     monkeypatch.setattr(system_mod, "missing_closure_agent", counted_missing)
     monkeypatch.setattr(lstdq, "extract_subsystem", no_extraction)
+    for module in (system_mod, policy_iteration):
+        monkeypatch.setattr(module, "z_embedding_indices", counted_embedding)
+    per_run = []
     for n_iter in (2, 4):
         checks.clear()
+        embeddings.clear()
         records = run_malspi(system, arch, MalspiConfig(n_iterations=n_iter, t_rollout=150,
                                                         t_eval=50, alpha=1e-4, seed=12))
         assert len(records) == n_iter + 1
         assert all(not d.flags for r in records[1:] for d in r.agents)
         assert len(checks) == n_sets
+        per_run.append(len(embeddings))
+    # the step layouts are built once per run: one per agent at least
+    assert per_run[0] == per_run[1] >= 4
+
+
+def test_invalid_step_plan_raises_before_the_first_rollout(monkeypatch):
+    g = generate_example1(4)
+    system = build_example_system(g, n_x=1, n_u=1)
+    real_plans, real_rollout = policy_iteration.architecture_plans, policy_iteration.rollout
+    rollouts = []
+
+    def narrowed_plans(architecture, deps, n_agents):
+        # agent 2 observes agents 1 and 3, outside its own singleton
+        plans = real_plans(architecture, deps, n_agents)
+        return {**plans, 2: dataclasses.replace(plans[2], update_set=(2,))}
+
+    def counted_rollout(*args, **kwargs):
+        rollouts.append(1)
+        return real_rollout(*args, **kwargs)
+
+    monkeypatch.setattr(policy_iteration, "architecture_plans", narrowed_plans)
+    monkeypatch.setattr(policy_iteration, "rollout", counted_rollout)
+    with pytest.raises(ValueError, match=r"agent 2 observes \[1, 3\] outside"):
+        run_malspi(system, Architecture.DIRECT, MalspiConfig(n_iterations=2, t_rollout=150))
+    assert not rollouts
 
 
 @pytest.mark.parametrize(

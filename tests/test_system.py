@@ -284,8 +284,8 @@ def test_restricted_subsystem_reproduces_global_trajectory():
     agent_set = deps.direct[3]
     batch = rollout(system, play, 50, 0.5, seed=42)
     sub = extract_subsystem(system, play, agent_set)
-    xs = batch.states(agent_set)
-    us = batch.controls(agent_set)
+    xs = batch.x[:, x_coords(agent_set, system.n_x)]
+    us = batch.u[:, u_coords(agent_set, system.n_u)]
     # process noise recovered from the global trajectory, restricted
     w_full = batch.x[1:] - batch.x[:-1] @ system.a.T - batch.u @ system.b.T
     w_sub = w_full[:, x_coords(agent_set, system.n_x)]
