@@ -98,8 +98,8 @@ def _echo_timing(row: TimingRow) -> None:
     )
     _echo(
         f"  {row.architecture:>20} N={row.n_agents}: mean {mean} median {median} "
-        f"(T={row.t_rollout}){ratio}; frozen updates {row.frozen_updates}, "
-        f"diverged evals {row.diverged_evals}"
+        f"(T={row.t_rollout}){ratio}; frozen updates {row.frozen_updates} of "
+        f"{row.attempted_updates}, diverged evals {row.diverged_evals}"
     )
 
 

@@ -9,6 +9,10 @@ The discrete Lyapunov equation P = X P X^T + Y is solved by Smith's
 doubling iteration, which uses only n x n matrix products: O(n^2) memory
 and O(n^3) time per doubling, with about log2 of the decay time of X's
 powers in doublings.
+
+Everything here but ``psd_project`` is NumPy; ``psd_project`` imports
+SciPy's ``eigh`` when called, so the Lyapunov solves and stability
+certificates behind ``malspi bounds`` never load SciPy.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -163,6 +166,7 @@ def psd_project(mat: np.ndarray, zeta: float = 0.0) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"psd_project expects a square matrix, got shape {m.shape}")
     m = 0.5 * (m + m.T)
+    import scipy.linalg
     # SciPy's LAPACK, like the LSTDQ solves (NumPy links a second OpenBLAS)
     eigvals, eigvecs = scipy.linalg.eigh(m, check_finite=False, driver="evd")
     clamped = np.maximum(eigvals, zeta)

@@ -22,7 +22,9 @@ d=1176 (r=256, k=12) and 453 MB at d=7260 (r=256, k=20).  The LU is gated
 on LAPACK's reciprocal 1-norm condition estimate (``gecon``,
 Hager/Higham), O(d^2) on top of O(d^3).  With zero process noise the
 relation holds pathwise and the recovery is exact up to conditioning.
-Every product and factorization runs through SciPy's BLAS/LAPACK.
+Every product and factorization runs through SciPy's BLAS/LAPACK, which
+``_stream``, ``_dgecon``, ``LstdqOperator`` and ``solve_cost`` import
+where they call it: importing this module loads NumPy only.
 """
 from __future__ import annotations
 
@@ -32,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_lapack
 
 from .linalg import psd_project  # noqa: F401  unused; a perfbench span rebinds this name
 from .linalg import svec, svec_dim
@@ -139,6 +139,7 @@ def _stream(bundle: RegressionBundle, operator: np.ndarray) -> np.ndarray:
     operand is Fortran-contiguous, so SciPy's BLAS (the LU's thread pool)
     copies none.
     """
+    import scipy.linalg
     dgemm = scipy.linalg.blas.dgemm
     costs = bundle.owner_costs
     t_length, d, k = bundle.t_length, bundle.d, costs.shape[1]
@@ -164,7 +165,9 @@ def _stream(bundle: RegressionBundle, operator: np.ndarray) -> np.ndarray:
 def _dgecon() -> ctypes.CFUNCTYPE:
     """SciPy's LAPACK ``dgecon`` taking the caller's workspace: SciPy's Python
     wrapper allocates one per call, and the estimate can move in its last
-    bit with that workspace's address."""
+    bit with that workspace's address.  ``scipy.linalg.cython_lapack`` is
+    imported at the first call, the first condition estimate."""
+    import scipy.linalg.cython_lapack
     capsule, api = scipy.linalg.cython_lapack.__pyx_capi__["dgecon"], ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -246,6 +249,7 @@ class LstdqOperator:
         operator = _aligned_zeros(bundle.d, bundle.d)
         self._owner_rhs = _stream(bundle, operator)
         # factorized in place
+        import scipy.linalg
         getrf, lange = scipy.linalg.get_lapack_funcs(("getrf", "lange"), (operator,))
         anorm = float(lange("1", operator))
         if not (0.0 < anorm < math.inf):
@@ -266,5 +270,6 @@ class LstdqOperator:
         One LU solve of the right-hand sides streamed with the operator
         serves every owner; the owners' aggregate is the row sum.
         """
+        import scipy.linalg
         (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (self._lu,))  # lu_solve's checks
         return getrs(self._lu, self._piv, self._owner_rhs)[0]  # cost more than a small set's solve

@@ -185,11 +185,12 @@ def policy_gradient_update(
     K_i <- K_i - 2 alpha * mean_t [ (Q z_t)_{u_i rows} x_O(t)' ] with z_t
     the batch's stacked state/control on the update set, formed once per
     run of adjacent agents sharing it (as ``step_layouts`` orders them);
-    the new rows are assembled into one policy.  Only the blocks over each
-    agent's observation in-neighbors change, so the pattern is preserved.
+    the new rows are written through each layout's cells into one copy of
+    the gain.  Only the blocks over each agent's observation in-neighbors
+    change, so the pattern is preserved.
     """
     t_length = batch.length
-    rows: dict[int, np.ndarray] = {}
+    gain = policy.gain.copy()
     z_set = None
     for layout, q in steps:
         if layout.plan.update_set != z_set:  # one T x m sample matrix per update set
@@ -197,8 +198,9 @@ def policy_gradient_update(
             z = np.hstack([batch.x[:t_length, layout.xs], batch.u[:, layout.us]])
         x_obs = batch.x[:t_length, layout.cells[1]]
         grad = ((z @ q[:, layout.u_cols]).T @ x_obs) / t_length
-        rows[layout.plan.agent] = policy.gain[layout.cells] - 2.0 * alpha * grad
-    return policy.with_row_gains(rows) if rows else policy
+        gain[layout.cells] -= 2.0 * alpha * grad
+    gain.flags.writeable = False
+    return StructuredPolicy(policy.graphs, policy.n_x, policy.n_u, gain)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,9 @@ class CurveRow:
 class TimingRow:
     """One (architecture, N) cell over its measured iterations, unless ``skipped``.
 
-    ``frozen_updates`` counts the updates flagged ``singular`` or ``underdetermined``.
+    ``attempted_updates`` counts the agent updates not flagged
+    ``empty_gradient_set``; ``frozen_updates`` counts those flagged
+    ``singular`` or ``underdetermined``.
     """
 
     architecture: str
@@ -57,6 +59,7 @@ class TimingRow:
     ratio_vs_indirect: Optional[float] = None
     frozen_updates: int = 0
     diverged_evals: int = 0
+    attempted_updates: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,15 +153,16 @@ def _timing_row(
     """Statistics over the iterations after the first ``warmup`` updates of each run."""
     measured = [r for records in runs for r in [r for r in records if r.iteration > 0][warmup:]]
     seconds = [r.wall_eval_s + r.wall_update_s for r in measured]
+    updates = [diag.flags for r in measured for diag in r.agents
+               if "empty_gradient_set" not in diag.flags]
     return TimingRow(
         name, config.n_agents, config.t_rollout,
         statistics.fmean(seconds) if seconds else None,
         statistics.median(seconds) if seconds else None,
         len(seconds),
-        frozen_updates=sum(
-            any(flag in _FROZEN_FLAGS for flag in diag.flags) for r in measured for diag in r.agents
-        ),
+        frozen_updates=sum(any(flag in _FROZEN_FLAGS for flag in flags) for flags in updates),
         diverged_evals=sum(r.eval_diverged for r in measured),
+        attempted_updates=len(updates),
     )
 
 

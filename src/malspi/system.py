@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import CouplingGraphs, GraphValidationError, missing_closure_agent
 from .linalg import InstabilityError, lyapunov_solve, spectral_radius
@@ -573,8 +572,11 @@ def _times_transposed(
     its thread pool with a product this size leaves it competing with
     SciPy's for the cores.  ``rows.T`` and ``out.T`` are Fortran-ordered,
     and the Fortran-ordered product mat @ rows.T is the C-ordered result's
-    transpose, so nothing is copied.
+    transpose, so nothing is copied.  SciPy is imported here, at the first
+    rollout product, not with the module: building a system, its
+    dependency sets and its bounds needs NumPy only.
     """
+    import scipy.linalg
     if out is None:
         return scipy.linalg.blas.dgemm(1.0, mat, rows.T).T
     if not out.flags.c_contiguous:

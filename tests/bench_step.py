@@ -3,7 +3,7 @@
 Each benchmark times ``policy_gradient_update`` for every agent of one
 ``run_malspi`` iteration, with the step layouts built once outside the
 timed call (``step_layouts``, as a run does) and every agent's new row
-written back with one ``with_row_gains``:
+written through its layout's cells into one copy of the gain:
 
 * the ``full_set`` benchmark workload's step: example1 with N=12 agents and
   the 2x2 criterion-6 plant, ``centralized`` (every agent updates on the

@@ -13,6 +13,7 @@ from malspi import cli, examples, linalg
 from malspi.cli import main
 from malspi.config import load_config, parse_config
 from malspi.graphs import dependency_sets
+from malspi.runner import read_timing_csv
 from malspi.system import extract_subsystem, zero_policy
 
 
@@ -238,7 +239,24 @@ def test_run_prints_update_counts_for_each_architecture(config_file, tmp_path):
     assert result.exit_code == 0, result.output
     lines = result.output.splitlines()[1:]
     assert [line.split()[0] for line in lines] == ["indirect", "centralized"]
-    assert all("frozen updates 0, diverged evals 0" in line for line in lines)
+    assert all("frozen updates 0 of 4, diverged evals 0" in line for line in lines)
+
+
+def test_run_prints_frozen_updates_of_those_attempted(config_file, tmp_path):
+    # at T=20 every full-set regression (d=36) is underdetermined: each
+    # centralized update is frozen, and the direct leader's, whose direct set
+    # is the whole team
+    document = json.loads(config_file.read_text())
+    config_file.write_text(json.dumps({**document, "t_rollout": 20, "n_iterations": 2}))
+    result = CliRunner().invoke(
+        main, ["run", str(config_file), "--output", str(tmp_path), "--arch", "indirect",
+               "--arch", "centralized", "--arch", "direct"]
+    )
+    assert result.exit_code == 0, result.output
+    counts = [line.split("; ")[1] for line in result.output.splitlines()[1:]]
+    assert counts == [f"frozen updates {frozen} of 8, diverged evals 0" for frozen in (0, 8, 2)]
+    timing = read_timing_csv(tmp_path / "timing.csv")
+    assert [(r.frozen_updates, r.attempted_updates) for r in timing] == [(0, 8), (8, 8), (2, 8)]
 
 
 def test_run_respects_environment_output_root(config_file, tmp_path):

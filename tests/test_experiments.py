@@ -308,14 +308,14 @@ def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
     # the 4 agents is frozen in each of the 2 measured iterations
     cfg = small_config(architectures=["centralized"], seeds=[0], t_rollout=10)
     cells = timing_benchmark(cfg, [4], warmup=1, measured=2)
-    assert cells[0].frozen_updates == 4 * 2
+    assert cells[0].frozen_updates == cells[0].attempted_updates == 4 * 2
     assert cells[0].diverged_evals == 0
     # run_experiment counts them over every iteration of every seed
     table = run_experiment(replace(cfg, seeds=(0, 1)), tmp_path)
     assert table.timing[0].frozen_updates == 4 * cfg.n_iterations * 2
     assert read_timing_csv(tmp_path / "timing.csv") == table.timing
     cells.append(TimingRow("direct", 4, 10, 0.5, 0.25, 2, False, 1.5,
-                           frozen_updates=3, diverged_evals=2))
+                           frozen_updates=3, diverged_evals=2, attempted_updates=5))
     path = tmp_path / "bench.csv"
     write_table(path, TimingRow, cells)
     assert read_table(path, TimingRow) == tuple(cells)
@@ -324,7 +324,7 @@ def test_bench_csv_round_trips_frozen_and_diverged_counts(tmp_path):
 @pytest.mark.parametrize("row_type,row,edit,message", [
     # a bench.csv row without its last two fields
     (TimingRow, TimingRow("direct", 4, 10, 0.5, 0.25, 2, frozen_updates=3),
-     lambda lines: [lines[0], lines[1].rsplit(",", 2)[0]], "line 2: expected 10 fields, got 8"),
+     lambda lines: [lines[0], lines[1].rsplit(",", 2)[0]], "line 2: expected 11 fields, got 9"),
     # a curves.csv row with two extra fields, after two good ones
     (CurveRow, CurveRow("direct", 0, 0, 1.5, False),
      lambda lines: [*lines, lines[1], lines[1] + ",1,2"], "line 4: expected 5 fields, got 7"),
@@ -356,7 +356,8 @@ def test_timing_benchmark_auto_mode_keeps_regressions_determined():
 HEADERS = {
     CurveRow: "architecture,seed,iteration,eval_cost,diverged",
     TimingRow: "architecture,n_agents,t_rollout,mean_iteration_s,median_iteration_s,"
-               "n_measured,skipped,ratio_vs_indirect,frozen_updates,diverged_evals",
+               "n_measured,skipped,ratio_vs_indirect,frozen_updates,diverged_evals,"
+               "attempted_updates",
     AgentRow: "iteration,agent,eval_cost,q_err_if_oracle_known,rcond,wall_ms_eval,"
               "wall_ms_update,flags",
 }

@@ -1,0 +1,95 @@
+"""Set-up, ``malspi graphs`` and ``malspi bounds`` never load SciPy's linear algebra.
+
+``import malspi`` loads NumPy only: the functions that call SciPy's
+BLAS/LAPACK import it themselves.  A fresh interpreter runs the benchmark's
+set-up sequence (``perfbench/setup_probe.py``) and both commands, noting
+whether ``scipy.linalg`` is loaded after each, then one ``run_malspi``
+iteration per architecture, whose records must equal, bit for bit, the
+same runs made here.
+"""
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+from malspi.config import parse_config
+from malspi.policy_iteration import Architecture, run_malspi
+
+TESTS = Path(__file__).resolve().parent
+
+CONFIG = {
+    "n_agents": 4,
+    "example": "example2",
+    "n_x": 1,
+    "n_u": 1,
+    "t_rollout": 120,
+    "t_eval": 50,
+    "n_iterations": 1,
+    "alpha": 1e-6,
+    "seeds": [0],
+    "architectures": ["centralized", "direct", "indirect"],
+}
+
+# Arguments: the config file, the file the runs' records are pickled to.
+_SCRIPT = """
+import json, pickle, sys
+from malspi.config import parse_config
+from malspi.graphs import dependency_sets
+from malspi.policy_iteration import Architecture, architecture_plans, run_malspi
+
+path = sys.argv[1]
+with open(path) as f:
+    config = parse_config(json.load(f))
+system = config.build_system()
+deps = dependency_sets(system.graphs)
+for name in config.architectures:
+    architecture_plans(Architecture.parse(name), deps, config.n_agents)
+loaded = {"setup": "scipy.linalg" in sys.modules}
+
+from click.testing import CliRunner
+from malspi.cli import main
+for args in (["graphs", path], ["bounds", path, "--epsilon", "0.5"]):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+loaded["graphs_and_bounds"] = "scipy.linalg" in sys.modules
+
+runs = {name: run_malspi(system, Architecture.parse(name), config.malspi_config(0))
+        for name in config.architectures}
+loaded["run"] = "scipy.linalg" in sys.modules
+with open(sys.argv[2], "wb") as f:
+    pickle.dump(runs, f)
+print(json.dumps(loaded))
+"""
+
+
+def _bits(records):
+    """Each iterate's gain bytes and cost, and each agent's rcond and flags, exactly."""
+    def exact(value):
+        return None if value is None else float.hex(value)
+
+    return [(r.gain.tobytes(), exact(r.eval_cost),
+             [(d.agent, exact(d.rcond), d.flags) for d in r.agents]) for r in records]
+
+
+def test_scipy_linalg_is_loaded_by_the_first_run_only(tmp_path):
+    config_path, runs_path = tmp_path / "config.json", tmp_path / "runs.pickle"
+    config_path.write_text(json.dumps(CONFIG))
+    env = dict(os.environ)
+    src = str(TESTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, str(config_path), str(runs_path)],
+        cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"setup": False, "graphs_and_bounds": False, "run": True}
+
+    fresh = pickle.loads(runs_path.read_bytes())
+    config = parse_config(CONFIG)
+    system = config.build_system()
+    for name in config.architectures:
+        here = run_malspi(system, Architecture.parse(name), config.malspi_config(0))
+        assert _bits(fresh[name]) == _bits(here), name

@@ -368,7 +368,7 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
 
     factorized, solves, rebuilds = [], [], []
     real_solve = lstdq.LstdqOperator.solve_cost
-    real_rebuild = system_mod.StructuredPolicy.with_row_gains
+    real_rebuild = policy_iteration.StructuredPolicy
 
     class CountedOperator(lstdq.LstdqOperator):
         def __init__(self, bundle, **kwargs):
@@ -385,7 +385,7 @@ def test_one_solve_per_estimation_set_and_one_rebuild_per_iteration(monkeypatch,
 
     monkeypatch.setattr(policy_iteration, "LstdqOperator", CountedOperator)
     monkeypatch.setattr(lstdq.LstdqOperator, "solve_cost", counted_solve)
-    monkeypatch.setattr(system_mod.StructuredPolicy, "with_row_gains", counted_rebuild)
+    monkeypatch.setattr(policy_iteration, "StructuredPolicy", counted_rebuild)
     records = run_malspi(system, arch, cfg)
 
     assert all(not d.flags for r in records[1:] for d in r.agents)
@@ -412,29 +412,36 @@ def test_sets_are_checked_once_per_run_and_never_extracted(monkeypatch, arch):
     def no_extraction(*args, **kwargs):
         raise AssertionError("an iteration extracted a subsystem")
 
-    real_embedding = system_mod.z_embedding_indices
-    embeddings = []
+    real_embedding, real_block_coords = system_mod.z_embedding_indices, system_mod._block_coords
+    embeddings, block_coords = [], []
 
     def counted_embedding(*args, **kwargs):
         embeddings.append(args)
         return real_embedding(*args, **kwargs)
 
+    def counted_block_coords(*args, **kwargs):
+        block_coords.append(args)
+        return real_block_coords(*args, **kwargs)
+
     monkeypatch.setattr(system_mod, "missing_closure_agent", counted_missing)
     monkeypatch.setattr(lstdq, "extract_subsystem", no_extraction)
+    monkeypatch.setattr(system_mod, "_block_coords", counted_block_coords)
     for module in (system_mod, policy_iteration):
         monkeypatch.setattr(module, "z_embedding_indices", counted_embedding)
     per_run = []
     for n_iter in (2, 4):
         checks.clear()
         embeddings.clear()
+        block_coords.clear()
         records = run_malspi(system, arch, MalspiConfig(n_iterations=n_iter, t_rollout=150,
                                                         t_eval=50, alpha=1e-4, seed=12))
         assert len(records) == n_iter + 1
         assert all(not d.flags for r in records[1:] for d in r.agents)
         assert len(checks) == n_sets
-        per_run.append(len(embeddings))
-    # the step layouts are built once per run: one per agent at least
-    assert per_run[0] == per_run[1] >= 4
+        per_run.append((len(embeddings), len(block_coords)))
+    # the step layouts are built once per run (one embedding per agent at
+    # least), and no iteration derives coordinates again
+    assert per_run[0] == per_run[1] and per_run[0][0] >= 4
 
 
 def test_invalid_step_plan_raises_before_the_first_rollout(monkeypatch):
