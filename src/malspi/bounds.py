@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import RHO_FLOOR, InstabilityError, lyapunov_solve, stability_report
-from .system import MultiAgentSystem, StructuredPolicy, extract_subsystem, true_q_matrix
+from .system import Subsystem, true_q_matrix
+from .system import extract_subsystem  # noqa: F401  unused; a perfbench span rebinds this name
 
 
 def _plus(value: float) -> float:
@@ -268,11 +269,7 @@ def sample_bound_indirect(
 
 
 def bound_inputs_from_subsystem(
-    system: MultiAgentSystem,
-    eval_policy: StructuredPolicy,
-    play_policy: StructuredPolicy,
-    agent_set: Iterable[int],
-    cost_owners: Iterable[int],
+    sub: Subsystem,
     *,
     sigma_eta: float,
     norm_sigma0: float = 1.0,
@@ -280,40 +277,34 @@ def bound_inputs_from_subsystem(
 ) -> BoundInputs:
     """Measure the bound inputs on a concrete restricted system.
 
-    The (tau, rho) certificate takes the worst case over the evaluated and
-    the play closed loops, measured once when both are the same policy
-    object; the stationary covariance uses the evaluated loop with both
-    noise sources.  The bounds divide by rho, so a rho that ``stability_report``
-    does not certify (at most ``RHO_FLOOR``) is an InstabilityError.
+    The subsystem's gain is both the evaluated and the play policy, so one
+    (tau, rho) certificate covers both closed loops and ``norm_k_play``
+    equals ``norm_k``; the stationary covariance uses that loop with both
+    noise sources.  The bounds divide by rho, so a rho that
+    ``stability_report`` does not certify (at most ``RHO_FLOOR``) is an
+    InstabilityError.
     """
-    sub = extract_subsystem(system, eval_policy, agent_set, cost_owners=cost_owners)
     closed = sub.closed_loop()
-    rep_eval = stability_report(closed)
-    if play_policy is eval_policy:
-        sub_play, rep_play = sub, rep_eval
-    else:
-        sub_play = extract_subsystem(system, play_policy, agent_set, cost_owners=cost_owners)
-        rep_play = stability_report(sub_play.closed_loop())
-    rho = max(rep_eval.rho, rep_play.rho)
-    tau = max(rep_eval.tau, rep_play.tau)
-    if rho <= RHO_FLOOR:
-        raise InstabilityError(f"the bounds for agent set {list(sub.agents)} divide by rho", rho)
+    rep = stability_report(closed)
+    if rep.rho <= RHO_FLOOR:
+        raise InstabilityError(f"the bounds for agent set {list(sub.agents)} divide by rho", rep.rho)
     p_inf = lyapunov_solve(
         closed,
-        system.sigma_w**2 * np.eye(sub.nx) + sigma_eta**2 * (sub.b @ sub.b.T),
+        sub.sigma_w**2 * np.eye(sub.nx) + sigma_eta**2 * (sub.b @ sub.b.T),
     )
     q_true = true_q_matrix(sub)
+    norm_k = float(np.linalg.norm(sub.k, ord=2))
     return BoundInputs(
         n_x_set=sub.nx,
         n_u_set=sub.nu,
-        tau=tau,
-        rho=rho,
-        sigma_w=system.sigma_w,
+        tau=rep.tau,
+        rho=rep.rho,
+        sigma_w=sub.sigma_w,
         sigma_eta=sigma_eta,
         norm_a=float(np.linalg.norm(sub.a, ord=2)),
         norm_b=float(np.linalg.norm(sub.b, ord=2)),
-        norm_k=float(np.linalg.norm(sub.k, ord=2)),
-        norm_k_play=float(np.linalg.norm(sub_play.k, ord=2)),
+        norm_k=norm_k,
+        norm_k_play=norm_k,
         norm_sigma0=norm_sigma0,
         norm_p_inf=float(np.linalg.norm(p_inf, ord=2)),
         q_true_frobenius=float(np.linalg.norm(q_true, ord="fro")),

@@ -13,6 +13,7 @@ The output root is the ``--output`` option, else the config's
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -201,25 +202,21 @@ def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: 
     agents = _selected_agents(graphs, agent)
     deps = dependency_sets(graphs)
     policy = zero_policy(graphs, system.n_x, system.n_u)
-    # One measurement per distinct restricted system: a value set recurs in
-    # every gradient set that contains its owner, and identical agents
-    # restrict to identical matrices.  The noise levels, sigma0, o_tilde and
-    # the policy are fixed for this invocation, so the restricted matrices
-    # decide the measurement; they are compared byte for byte.  Each
-    # (agent set, owners) pair is extracted once to find its key.
+    # Each (agent set, owners) pair is extracted once and its subsystem
+    # measured at most once: a value set recurs in every gradient set that
+    # contains its owner, and identical agents restrict to identical
+    # matrices.  The noise levels, sigma0, o_tilde and the policy are fixed
+    # for this invocation, so the restricted matrices decide the
+    # measurement; they are compared byte for byte.
     measured = {}
-    keys = {}
 
+    @functools.cache
     def inputs(agent_set, cost_owners):
-        pair = (tuple(agent_set), tuple(cost_owners))
-        if pair not in keys:
-            sub = extract_subsystem(system, policy, agent_set, cost_owners)
-            keys[pair] = tuple((m.shape, m.tobytes()) for m in (sub.a, sub.b, sub.k, sub.s, sub.r))
-        key = keys[pair]
+        sub = extract_subsystem(system, policy, agent_set, cost_owners)
+        key = tuple((m.shape, m.tobytes()) for m in (sub.a, sub.b, sub.k, sub.s, sub.r))
         if key not in measured:
             measured[key] = bound_inputs_from_subsystem(
-                system, policy, policy, agent_set, cost_owners,
-                sigma_eta=config.sigma_eta, norm_sigma0=config.sigma0, o_tilde=o_tilde,
+                sub, sigma_eta=config.sigma_eta, norm_sigma0=config.sigma0, o_tilde=o_tilde
             )
         return measured[key]
 

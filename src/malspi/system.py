@@ -12,11 +12,14 @@ in-neighbors, and the global cost averages the per-agent costs.  Control is
 a static structured gain: agent i applies K_i to the stacked states of its
 observation in-neighbors.
 
-``extract_subsystem`` restricts everything to an agent subset.  When the
-subset is closed under the state/observation reachability relation, the
-restriction is exact: the subsystem reproduces the corresponding coordinates
-of the global trajectory under identical noise.  ``true_q_matrix`` builds
-the exact quadratic Q-function of a (sub)system in closed form.
+``estimation_set`` is the one check and layout of an agent subset and its
+cost owners; the LSTDQ regressions read its coordinates, and
+``extract_subsystem`` restricts everything to the subset through them.
+When the subset is closed under the state/observation reachability
+relation, the restriction is exact: the subsystem reproduces the
+corresponding coordinates of the global trajectory under identical noise.
+``true_q_matrix`` builds the exact quadratic Q-function of a (sub)system in
+closed form.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .graphs import CouplingGraphs, GraphValidationError, missing_closure_agent
-from .linalg import InstabilityError, lyapunov_solve, spectral_radius
+from .linalg import lyapunov_solve
 
 AgentSet = tuple[int, ...]
 
@@ -375,35 +378,6 @@ class Subsystem:
         return float(x @ self.s @ x + u @ self.r @ u)
 
 
-def _checked_set(
-    graphs: CouplingGraphs, index_set: Iterable[int], cost_owners: Iterable[int]
-) -> tuple[AgentSet, AgentSet]:
-    """The sorted agents and cost owners of an agent set, checked for exact restriction.
-
-    Raises GraphValidationError on an index that is not an agent, ValueError
-    on an empty set, and ClosureError when the set is not closed under the
-    state/observation reachability relation or an owner's cost in-neighbors
-    leave it.
-    """
-    agents = tuple(sorted({graphs.require_valid_agent(a) for a in index_set}))
-    if not agents:
-        raise ValueError("index_set must contain at least one agent")
-    missing = missing_closure_agent(graphs, agents)
-    if missing is not None:
-        raise ClosureError(
-            f"index set {agents} is not closed: agent {missing} reaches it "
-            "through the state/observation graph"
-        )
-    owners = tuple(sorted({graphs.require_valid_agent(j) for j in cost_owners}))
-    for j in owners:
-        outside = [c for c in graphs.cost_in_neighbors(j) if c not in agents]
-        if outside:
-            raise ClosureError(
-                f"cost owner {j} depends on agents {outside} outside the index set {agents}"
-            )
-    return agents, owners
-
-
 @dataclass(frozen=True)
 class EstimationSet:
     """The fixed layout of one agent set's restricted LSTDQ regression.
@@ -411,7 +385,7 @@ class EstimationSet:
     ``agents`` and ``cost_owners`` are sorted; ``xs`` and ``us`` are the
     set's global state and control coordinates; ``owner_coords[c]`` holds
     the global (x, u) coordinates of ``cost_owners[c]``'s cost in-neighbors.
-    ``estimation_set`` builds one after the set check; nothing in it
+    ``estimation_set`` builds one as it checks the set; nothing in it
     depends on the policy or the samples, so one serves a whole run.
     """
 
@@ -425,17 +399,35 @@ class EstimationSet:
 def estimation_set(
     system: MultiAgentSystem, index_set: Iterable[int], cost_owners: Iterable[int]
 ) -> EstimationSet:
-    """Check an agent set and its cost owners once and lay out their coordinates.
+    """Check an agent set and its cost owners for exact restriction and lay them out.
 
-    Raises as ``extract_subsystem`` does on the same set and owners.
+    Raises GraphValidationError on an index that is not an agent, ValueError
+    on an empty set, and ClosureError when the set is not closed under the
+    state/observation reachability relation or an owner's cost in-neighbors
+    leave it.
     """
     graphs, n_x, n_u = system.graphs, system.n_x, system.n_u
-    agents, owners = _checked_set(graphs, index_set, cost_owners)
-    owner_coords = tuple(
-        (x_coords(c, n_x), u_coords(c, n_u)) for c in map(graphs.cost_in_neighbors, owners)
-    )
+    agents = tuple(sorted({graphs.require_valid_agent(a) for a in index_set}))
+    if not agents:
+        raise ValueError("index_set must contain at least one agent")
+    missing = missing_closure_agent(graphs, agents)
+    if missing is not None:
+        raise ClosureError(
+            f"index set {agents} is not closed: agent {missing} reaches it "
+            "through the state/observation graph"
+        )
+    owners = tuple(sorted({graphs.require_valid_agent(j) for j in cost_owners}))
+    owner_coords = []
+    for j in owners:
+        cost_set = graphs.cost_in_neighbors(j)
+        outside = [c for c in cost_set if c not in agents]
+        if outside:
+            raise ClosureError(
+                f"cost owner {j} depends on agents {outside} outside the index set {agents}"
+            )
+        owner_coords.append((x_coords(cost_set, n_x), u_coords(cost_set, n_u)))
     return EstimationSet(agents, owners, x_coords(agents, n_x), u_coords(agents, n_u),
-                         owner_coords)
+                         tuple(owner_coords))
 
 
 def extract_subsystem(
@@ -448,44 +440,33 @@ def extract_subsystem(
 ) -> Subsystem:
     """Restrict dynamics, gain, and an owner-aggregated cost to an agent subset.
 
-    The subset must be closed under the state/observation reachability
-    relation, and each cost owner's in-neighbor set must lie inside it.
-    ``average=True`` folds in the 1/N global averaging; otherwise owner
-    costs are summed raw.
+    The set is checked and laid out by ``estimation_set``: it must be closed
+    under the state/observation reachability relation, and each cost
+    owner's in-neighbor set must lie inside it.  ``average=True`` folds in
+    the 1/N global averaging; otherwise owner costs are summed raw.
     """
-    graphs = system.graphs
-    agents, owners = _checked_set(graphs, index_set, cost_owners)
-    n_x, n_u = system.n_x, system.n_u
-    xs = x_coords(agents, n_x)
-    us = u_coords(agents, n_u)
-    a_sub = system.a[xs[:, None], xs]
-    b_sub = system.b[xs[:, None], us]
-    k_sub = policy.gain[us[:, None], xs]
-
-    dim_x = len(xs)
-    dim_u = len(us)
-    s_sub = np.zeros((dim_x, dim_x))
-    r_sub = np.zeros((dim_u, dim_u))
+    est = estimation_set(system, index_set, cost_owners)
+    xs, us = est.xs, est.us
+    s_sub = np.zeros((len(xs), len(xs)))
+    r_sub = np.zeros((len(us), len(us)))
     scale = 1.0 / system.n_agents if average else 1.0
-    for j in owners:
-        cost_set = graphs.cost_in_neighbors(j)
-        if not cost_set:
-            continue
-        # The owner's (x, u) positions in the set's stacked coordinates.
-        idx = z_embedding_indices(cost_set, agents, n_x, n_u)
-        x_idx, u_idx = idx[: len(cost_set) * n_x], idx[len(cost_set) * n_x :] - dim_x
+    for j, (owner_xs, owner_us) in zip(est.cost_owners, est.owner_coords):
+        # Both coordinate lists are sorted, so each owner coordinate's
+        # position in the set's is its rank there.
+        x_idx = np.searchsorted(xs, owner_xs)
+        u_idx = np.searchsorted(us, owner_us)
         s_sub[np.ix_(x_idx, x_idx)] += scale * system.s_blocks[j]
         r_sub[np.ix_(u_idx, u_idx)] += scale * system.r_blocks[j]
 
     return Subsystem(
-        agents=agents,
+        agents=est.agents,
         n_x=system.n_x,
         n_u=system.n_u,
-        a=_as_readonly(a_sub),
-        b=_as_readonly(b_sub),
+        a=_as_readonly(system.a[xs[:, None], xs]),
+        b=_as_readonly(system.b[xs[:, None], us]),
         s=_as_readonly(s_sub),
         r=_as_readonly(r_sub),
-        k=_as_readonly(k_sub),
+        k=_as_readonly(policy.gain[us[:, None], xs]),
         sigma_w=system.sigma_w,
     )
 
@@ -495,12 +476,10 @@ def true_q_matrix(sub: Subsystem) -> np.ndarray:
 
     Q = blkdiag(S, R) + [A B]' P [A B] with P solving the value-function
     Lyapunov equation P = (A + BK)' P (A + BK) + S + K'RK.  Requires the
-    closed loop to be stable.  Symmetric and positive semi-definite.
+    closed loop to be stable: ``lyapunov_solve`` raises InstabilityError
+    otherwise.  Symmetric and positive semi-definite.
     """
     l_cl = sub.closed_loop()
-    rho = spectral_radius(l_cl)
-    if rho >= 1.0:
-        raise InstabilityError("closed loop unstable; Q-function undefined", rho)
     cost = sub.s + sub.k.T @ sub.r @ sub.k
     p = lyapunov_solve(l_cl.T, 0.5 * (cost + cost.T))
     ab = np.hstack([sub.a, sub.b])

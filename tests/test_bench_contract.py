@@ -46,6 +46,33 @@ def test_every_traced_call_site_resolves(module, attr_path):
     assert callable(_resolve(module, attr_path))
 
 
+def _span_imports() -> list[tuple[str, str]]:
+    """The (module, name) of every library import kept only for a span to rebind."""
+    import malspi
+
+    sites = []
+    for path in sorted(Path(malspi.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and any(
+                "a perfbench span rebinds this name" in lines[n - 1]
+                for n in range(node.lineno, node.end_lineno + 1)
+            ):
+                sites += [(f"malspi.{path.stem}", alias.asname or alias.name)
+                          for alias in node.names]
+    return sorted(sites)
+
+
+def test_every_span_only_import_is_a_traced_call_site():
+    # Such an import is dead code unless a span patches it; when a span is
+    # dropped, its import must go too.
+    imports = _span_imports()
+    assert ("malspi.bounds", "extract_subsystem") in imports
+    orphaned = [site for site in imports if site not in SITES]
+    assert not orphaned, f"no perfbench span rebinds {orphaned}"
+
+
 def test_setup_probe_imports_resolve():
     tree = _parse("setup_probe.py")
     imported = [

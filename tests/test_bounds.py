@@ -13,7 +13,7 @@ from malspi.bounds import (
 )
 from malspi.examples import build_example_system, generate_example1
 from malspi.graphs import dependency_sets
-from malspi.system import zero_policy
+from malspi.system import extract_subsystem, zero_policy
 
 
 def make_inputs(**overrides) -> BoundInputs:
@@ -57,9 +57,8 @@ def test_concrete_ring_instance_direct_below_centralized():
     deps = dependency_sets(g)
     agent = 1
     assert len(deps.direct[agent]) == 5
-    inputs = bound_inputs_from_subsystem(
-        system, policy, policy, deps.direct[agent], deps.gradient[agent], sigma_eta=1.0
-    )
+    sub = extract_subsystem(system, policy, deps.direct[agent], deps.gradient[agent])
+    inputs = bound_inputs_from_subsystem(sub, sigma_eta=1.0)
     report_direct = sample_bound_direct(inputs)
     centralized_dims = dataclasses.replace(
         inputs, n_x_set=8 * system.n_x, n_u_set=8 * system.n_u

@@ -65,9 +65,8 @@ def test_bounds_subcommand_emits_calculators(config_file):
     assert entry["indirect"]["t_min"] == pytest.approx(entry["direct"]["t_min"])
 
 
-def _restricted_system(system, policy, agent_set, owners):
+def _restricted_bytes(sub):
     """The restricted matrices a bound measurement reads, as comparable bytes."""
-    sub = extract_subsystem(system, policy, agent_set, owners)
     return tuple((m.shape, m.tobytes()) for m in (sub.a, sub.b, sub.k, sub.s, sub.r))
 
 
@@ -76,9 +75,9 @@ def _bounds_with_counts(path):
 
     Checks the JSON against a reference measured per (agent set, owners)
     pair without any sharing.  Returns each pair the report needs mapped to
-    its restricted system, the pairs the CLI measured, the number of
-    stability certificates it took, and the pairs it extracted to key its
-    measurements.
+    its restricted system, the restricted systems the CLI measured, the
+    number of stability certificates it took, and the pairs it extracted.
+    ``malspi.bounds`` may not extract: it measures the CLI's extraction.
     """
     config = load_config(path)
     system = config.build_system()
@@ -87,7 +86,7 @@ def _bounds_with_counts(path):
 
     def measure(agent_set, owners):
         return bounds_mod.bound_inputs_from_subsystem(
-            system, policy, policy, agent_set, owners,
+            extract_subsystem(system, policy, agent_set, owners),
             sigma_eta=config.sigma_eta, norm_sigma0=config.sigma0,
         )
 
@@ -105,7 +104,8 @@ def _bounds_with_counts(path):
             "indirect": bounds_mod.sample_bound_indirect(
                 [measure(*m) for m in members], epsilon=0.1).to_dict(),
         }
-    systems = {pair: _restricted_system(system, policy, *pair) for pair in pairs}
+    systems = {pair: _restricted_bytes(extract_subsystem(system, policy, *pair))
+               for pair in pairs}
     measured = []
     certified = []
     extracted = []
@@ -114,18 +114,21 @@ def _bounds_with_counts(path):
         extracted.append((tuple(agent_set), tuple(owners)))
         return extract_subsystem(system, policy, agent_set, owners, **kwargs)
 
-    def counted_inputs(system, eval_policy, play_policy, agent_set, owners, **kwargs):
-        measured.append((tuple(agent_set), tuple(owners)))
-        return bounds_mod.bound_inputs_from_subsystem(
-            system, eval_policy, play_policy, agent_set, owners, **kwargs)
+    def counted_inputs(sub, **kwargs):
+        measured.append(_restricted_bytes(sub))
+        return bounds_mod.bound_inputs_from_subsystem(sub, **kwargs)
 
     def counted_report(mat):
         certified.append(mat.shape[0])
         return linalg.stability_report(mat)
 
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("malspi.bounds extracted a subsystem")
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "bound_inputs_from_subsystem", counted_inputs)
         patch.setattr(cli, "extract_subsystem", counted_extract)
+        patch.setattr(bounds_mod, "extract_subsystem", no_extraction)
         patch.setattr(bounds_mod, "stability_report", counted_report)
         result = CliRunner().invoke(main, ["bounds", str(path), "--epsilon", "0.1"])
     assert result.exit_code == 0, result.output
@@ -140,13 +143,11 @@ def test_bounds_measures_each_distinct_set_once(tmp_path):
         systems, measured, certified, extracted = _bounds_with_counts(path)
         # Identical agents restrict many pairs to the same matrices.
         assert (len(systems), len(set(systems.values()))) == (n_pairs, n_systems)
-        # Each pair is extracted once to key its measurement.
+        # Each pair is extracted once, and its subsystem is what is measured.
         assert sorted(extracted) == sorted(systems)
         # One measurement per distinct restricted system, whichever pair
-        # reaches it first; play and evaluated policies are one object, so
-        # one certificate each.
-        measured_systems = [systems[pair] for pair in measured]
-        assert Counter(measured_systems) == Counter(set(systems.values()))
+        # reaches it first, with one stability certificate each.
+        assert Counter(measured) == Counter(set(systems.values()))
         assert certified == n_systems
 
 
@@ -167,7 +168,7 @@ def test_bounds_never_shares_a_measurement_between_different_matrices(tmp_path, 
     # uncached reference.
     followers = {systems[((1, j), (j,))] for j in (2, 3, 5, 6)}
     assert len(followers) == 1 and systems[((1, odd), (odd,))] not in followers
-    assert {systems[pair] for pair in measured} == set(systems.values())
+    assert set(measured) == set(systems.values())
     assert len(set(systems.values())) == 4
 
 

@@ -218,6 +218,30 @@ def test_full_index_set_subsystem_equals_global():
     np.testing.assert_allclose(sub.r, system.r)
     np.testing.assert_allclose(sub.k, policy.gain)
 
+    # A closed set's extraction is the all-agent one with the same owners,
+    # restricted to the set's coordinates, bit for bit.
+    gapped = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        g = random_graphs(rng, 6, edge_prob=0.15, cost_self_loops=True)
+        system = random_system(rng, g, 2, 1)
+        policy = random_stabilizing_policy(rng, system)
+        deps = dependency_sets(g)
+        for agent_set in {s for i in g.agents for s in (deps.value[i], deps.direct[i]) if s}:
+            owners = [j for j in g.agents if set(g.cost_in_neighbors(j)) <= set(agent_set)]
+            # An owner whose cost set skips a member of the set.
+            gapped += any(np.any(np.diff(np.searchsorted(agent_set, g.cost_in_neighbors(j))) > 1)
+                          for j in owners)
+            xs, us = x_coords(agent_set, 2), u_coords(agent_set, 1)
+            for average in (False, True):
+                sub = extract_subsystem(system, policy, agent_set, owners, average=average)
+                full = extract_subsystem(system, policy, g.agents, owners, average=average)
+                for name, rows, cols in (("a", xs, xs), ("b", xs, us), ("k", us, xs),
+                                         ("s", xs, xs), ("r", us, us)):
+                    restricted = getattr(full, name)[np.ix_(rows, cols)]
+                    assert getattr(sub, name).tobytes() == restricted.tobytes(), (seed, name)
+    assert gapped
+
 
 def test_decoupled_extraction_picks_agent_blocks():
     sys2 = decoupled_pair()
