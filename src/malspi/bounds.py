@@ -1,20 +1,21 @@
 """Sample-complexity diagnostics for the restricted LSTDQ regressions.
 
-The calculators evaluate, verbatim, the high-probability trajectory-length
-requirement and the 1/sqrt(T) parameter-error envelope of the restricted
-least-squares temporal-difference estimator, plus the epsilon-accuracy
-sample counts used to compare the direct and indirect architectures.  The
-absolute constant hidden by the analysis is unidentified; it is exposed as
-a single multiplier ``o_tilde`` defaulting to one and all outputs scale
-with it.
-
-Norms written ``||.||_+`` clamp the spectral norm from below at one.
+Each estimation set's counts come from one excitation factor,
+a = ``BoundInputs.w_factor`` / sigma_eta^2 (see ``_envelope``).  The
+restricted estimate's Q-matrix error obeys err(T) = err_coefficient / sqrt(T)
+for T >= t_min, and t_epsilon(weight) suffices for it to reach
+weight * epsilon.  A direct count bounds its one regression's error
+(weight 1); an indirect count bounds each gradient-set member's error at its
+share of epsilon, so the members' errors sum to at most epsilon, and it can
+exceed the direct count.  ``o_tilde`` stands in for the unidentified absolute
+constant of the analysis (default one); every output grows with it.
+``||.||_+`` clamps a spectral norm from below at one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class BoundInputs:
 
     @property
     def w_factor(self) -> float:
-        """Shared prefactor of the epsilon-accuracy sample counts."""
+        """Divided by sigma_eta^2, the excitation factor ``a`` of every count."""
         return (
             _plus(self.norm_k_play) ** 2
             * self.sigma_w
@@ -92,21 +93,40 @@ class BoundInputs:
         )
 
 
-@dataclass(frozen=True)
-class DirectBoundReport:
-    """Minimum trajectory length and error envelope of one direct regression.
+def _envelope(inputs: BoundInputs) -> tuple[float, float, float]:
+    """dims = n_x_set + n_u_set, err_coefficient = o_tilde dims ||Q||_F a and (n_x_set dims a)^2.
 
-    The parameter-error bound is err(T) = err_coefficient / sqrt(T); the
-    descriptor string records that functional form for serialized reports.
+    t_min = o_tilde max(dims^2, (n_x_set dims a)^2); ``_t_epsilon``'s first
+    term is dims times the T at which err(T) reaches weight * epsilon.
+    """
+    dims = float(inputs.n_x_set + inputs.n_u_set)
+    a = inputs.w_factor / inputs.sigma_eta**2
+    return dims, inputs.o_tilde * dims * inputs.q_true_frobenius * a, (inputs.n_x_set * dims * a) ** 2
+
+
+def _t_epsilon(inputs: BoundInputs, epsilon: float, weight: float = 1.0) -> float:
+    """Samples sufficient for accuracy ``weight * epsilon`` on one estimation set."""
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    dims, err_coefficient, excitation = _envelope(inputs)
+    return max(dims * (err_coefficient / (weight * epsilon)) ** 2, inputs.o_tilde * excitation)
+
+
+@dataclass(frozen=True)
+class _BoundReport:
+    """Minimum trajectory length, error envelope and optional epsilon count.
+
+    The parameter-error bound is err(T) = err_coefficient / sqrt(T);
+    ``err_form`` records that functional form for serialized reports.
     ``t_epsilon`` is the sample count sufficient for epsilon accuracy when
     an epsilon was supplied.
     """
 
+    err_form: ClassVar[str] = "err(T) = err_coefficient / sqrt(T)"
+
     t_min: float
     err_coefficient: float
-    err_form: str
     t_epsilon: Optional[float]
-    inputs: BoundInputs
 
     def err_at(self, t_length: float) -> float:
         return self.err_coefficient / math.sqrt(t_length)
@@ -120,71 +140,26 @@ class DirectBoundReport:
         }
 
 
-def _t_epsilon(inputs: BoundInputs, epsilon: float, weight: float = 1.0) -> float:
-    """Samples sufficient for accuracy ``weight * epsilon`` on one estimation set."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    nx, nu = float(inputs.n_x_set), float(inputs.n_u_set)
-    dims = nx + nu
-    w = inputs.w_factor
-    return max(
-        inputs.o_tilde**2
-        * w**2
-        * dims**3
-        * inputs.q_true_frobenius**2
-        / (inputs.sigma_eta**4 * weight**2 * epsilon**2),
-        inputs.o_tilde * w**2 * nx**2 * dims**2 / inputs.sigma_eta**4,
-    )
+@dataclass(frozen=True)
+class DirectBoundReport(_BoundReport):
+    """Bounds of one direct regression, with the inputs they were computed from."""
+
+    inputs: BoundInputs
 
 
 def sample_bound_direct(inputs: BoundInputs, *, epsilon: Optional[float] = None) -> DirectBoundReport:
     """Trajectory-length requirement and error envelope for one regression set."""
-    nx, nu = float(inputs.n_x_set), float(inputs.n_u_set)
-    dims = nx + nu
-    sbar = inputs.sigma_bar
-    stability_factor = (
-        inputs.tau**4
-        * _plus(inputs.norm_k) ** 8
-        * (inputs.norm_a**2 + inputs.norm_b**2) ** 2
-        / (inputs.rho**4 * (1.0 - inputs.rho**2) ** 2)
-    )
-    burn_in = dims**2
-    excitation = (
-        nx**2
-        * dims**2
-        * _plus(inputs.norm_k_play) ** 4
-        / inputs.sigma_eta**4
-        * inputs.sigma_w**2
-        * sbar**2
-        * stability_factor
-    )
-    t_min = inputs.o_tilde * max(burn_in, excitation)
-
-    err_coefficient = (
-        inputs.o_tilde
-        * dims
-        * _plus(inputs.norm_k_play) ** 2
-        / inputs.sigma_eta**2
-        * inputs.sigma_w
-        * sbar
-        * inputs.q_true_frobenius
-        * inputs.tau**2
-        * _plus(inputs.norm_k) ** 4
-        * (inputs.norm_a**2 + inputs.norm_b**2)
-        / (inputs.rho**2 * (1.0 - inputs.rho**2))
-    )
-
+    dims, err_coefficient, excitation = _envelope(inputs)
     return DirectBoundReport(
-        t_min=t_min,
+        t_min=inputs.o_tilde * max(dims**2, excitation),
         err_coefficient=err_coefficient,
-        err_form="err(T) = err_coefficient / sqrt(T)",
         t_epsilon=None if epsilon is None else _t_epsilon(inputs, epsilon),
         inputs=inputs,
     )
 
 
 @dataclass(frozen=True)
-class IndirectBoundReport:
+class IndirectBoundReport(_BoundReport):
     """Aggregated requirement and error envelope over a gradient set.
 
     The trajectory must satisfy every member's own requirement, so
@@ -193,22 +168,12 @@ class IndirectBoundReport:
     the supplied weights.
     """
 
-    t_min: float
-    err_coefficient: float
-    err_form: str
-    t_epsilon: Optional[float]
     weights: tuple[float, ...]
     members: tuple[DirectBoundReport, ...]
 
-    def err_at(self, t_length: float) -> float:
-        return self.err_coefficient / math.sqrt(t_length)
-
     def to_dict(self) -> dict:
         return {
-            "t_min": self.t_min,
-            "err_coefficient": self.err_coefficient,
-            "err_form": self.err_form,
-            "t_epsilon": self.t_epsilon,
+            **super().to_dict(),
             "weights": list(self.weights),
             "members": [m.to_dict() for m in self.members],
         }
@@ -232,8 +197,7 @@ def sample_bound_indirect(
     """Bounds for estimating each gradient-set member on its own value set.
 
     ``weights`` must be positive and sum to one; they default to the
-    norm-proportional split, under which the worst-case epsilon sample
-    count never exceeds the direct architecture's.
+    norm-proportional split.
     """
     if not member_inputs:
         raise ValueError("at least one gradient-set member is required")
@@ -250,21 +214,15 @@ def sample_bound_indirect(
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
 
-    members = [sample_bound_direct(m) for m in member_inputs]
-    t_min = max(m.t_min for m in members)
-    err_coefficient = sum(m.err_coefficient for m in members)
-
-    t_epsilon = None
-    if epsilon is not None:
-        t_epsilon = max(_t_epsilon(m, epsilon, w_j) for m, w_j in zip(member_inputs, w))
-
+    members = tuple(sample_bound_direct(m) for m in member_inputs)
     return IndirectBoundReport(
-        t_min=t_min,
-        err_coefficient=err_coefficient,
-        err_form="err(T) = err_coefficient / sqrt(T)",
-        t_epsilon=t_epsilon,
+        t_min=max(m.t_min for m in members),
+        err_coefficient=sum(m.err_coefficient for m in members),
+        t_epsilon=None if epsilon is None else max(
+            _t_epsilon(m, epsilon, w_j) for m, w_j in zip(member_inputs, w)
+        ),
         weights=w,
-        members=tuple(members),
+        members=members,
     )
 
 
