@@ -14,7 +14,7 @@ constant of the analysis (default one); every output grows with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,11 @@ def _plus(value: float) -> float:
     return max(1.0, float(value))
 
 
+_NORM_FIELDS = (
+    "norm_a", "norm_b", "norm_k", "norm_k_play", "norm_sigma0", "norm_p_inf", "q_true_frobenius",
+)
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Scalars the bounds depend on, for one estimation set.
@@ -38,6 +43,7 @@ class BoundInputs:
     ||L^k|| <= tau rho^k for both the evaluated and the play closed loop.
     Norm fields are spectral norms of the restricted matrices;
     ``q_true_frobenius`` is the Frobenius norm of the exact Q matrix.
+    Every field must be finite and every norm nonnegative.
     """
 
     n_x_set: int
@@ -56,6 +62,14 @@ class BoundInputs:
     o_tilde: float = 1.0
 
     def __post_init__(self):
+        # Checked first: every comparison below is False for NaN.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in _NORM_FIELDS:
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.sigma_eta > self.sigma_w:
             raise ValueError(
                 f"exploration noise {self.sigma_eta} must not exceed process noise {self.sigma_w}"
@@ -106,8 +120,8 @@ def _envelope(inputs: BoundInputs) -> tuple[float, float, float]:
 
 def _t_epsilon(inputs: BoundInputs, epsilon: float, weight: float = 1.0) -> float:
     """Samples sufficient for accuracy ``weight * epsilon`` on one estimation set."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     dims, err_coefficient, excitation = _envelope(inputs)
     return max(dims * (err_coefficient / (weight * epsilon)) ** 2, inputs.o_tilde * excitation)
 
@@ -209,8 +223,8 @@ def sample_bound_indirect(
             raise ValueError(
                 f"got {len(w)} weights for {len(member_inputs)} gradient-set members"
             )
-        if any(v <= 0.0 for v in w):
-            raise ValueError("weights must be positive")
+        if not all(0.0 < v <= 1.0 for v in w):
+            raise ValueError(f"weights must lie in (0, 1], got {list(w)}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -134,7 +135,19 @@ _arch_opt = click.option(
     help="Override config architectures.",
 )
 _n_opt = click.option("--n-agents", type=int, default=None, help="Override agent count.")
-_positive = click.FloatRange(min=0, min_open=True)
+
+
+class _FiniteRange(click.FloatRange):
+    """A ``FloatRange`` that also rejects NaN and infinity, which its bounds let through."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
+
+
+_positive = _FiniteRange(min=0, min_open=True)
 
 
 @main.command()

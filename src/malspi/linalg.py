@@ -32,6 +32,8 @@ LYAPUNOV_RESIDUAL_GATE = 1e-9
 _POWER_WINDOW_BYTES = 1 << 20
 # Spectral radius at or below which ``stability_report`` measures no tau (it returns 1).
 RHO_FLOOR = 1e-14
+# Largest entrywise asymmetry |M - M^T| that ``svec`` accepts.
+SVEC_SYM_TOL = 1e-10
 
 
 class InstabilityError(RuntimeError):
@@ -42,20 +44,20 @@ class InstabilityError(RuntimeError):
         self.rho = rho
 
 
-def svec(mat: np.ndarray, *, sym_tol: float = 1e-10) -> np.ndarray:
+def svec(mat: np.ndarray) -> np.ndarray:
     """Vectorize a symmetric n x n matrix into length n(n+1)/2.
 
     Diagonal entries are copied, strict upper-triangular entries scaled by
     sqrt(2), so <svec(M), svec(N)> equals the Frobenius inner product
-    <M, N> exactly.  The input must be symmetric within ``sym_tol`` and is
+    <M, N> exactly.  The input must be symmetric within ``SVEC_SYM_TOL`` and is
     symmetrized internally.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"svec expects a square matrix, got shape {m.shape}")
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if asym > sym_tol:
-        raise ValueError(f"svec input asymmetry {asym:.3g} exceeds tolerance {sym_tol:.3g}")
+    if asym > SVEC_SYM_TOL:
+        raise ValueError(f"svec input asymmetry {asym:.3g} exceeds tolerance {SVEC_SYM_TOL:.3g}")
     m = 0.5 * (m + m.T)
     rows, cols, weights = _packing(m.shape[0])
     return m[rows, cols] * weights

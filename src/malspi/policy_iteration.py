@@ -320,6 +320,12 @@ def run_malspi(
     graphs = system.graphs
     n = graphs.n_agents
     k0 = config.k0 if config.k0 is not None else zero_policy(graphs, system.n_x, system.n_u)
+    # The step layouts read the agents' gain cells from k0's graphs.
+    if (k0.graphs, k0.n_x, k0.n_u) != (graphs, system.n_x, system.n_u):
+        raise ValueError(
+            f"k0 (n_x={k0.n_x}, n_u={k0.n_u}) is not built on the system's coupling graphs "
+            f"and agent sizes (n_x={system.n_x}, n_u={system.n_u})"
+        )
     rho0 = spectral_radius(system.a + system.b @ k0.gain)
     if rho0 >= 1.0:
         raise InstabilityError("initial policy does not stabilize the system", rho0)

@@ -140,6 +140,38 @@ def test_stability_certificate_validation():
         make_inputs(tau=0.5)
 
 
+FLOAT_FIELDS = ("tau", "rho", "sigma_w", "sigma_eta", "norm_a", "norm_b", "norm_k",
+                "norm_k_play", "norm_sigma0", "norm_p_inf", "q_true_frobenius", "o_tilde")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_inputs_must_be_finite(field, value):
+    # max() and every range check pass NaN through: tau=nan gave t_min 16
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_inputs(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["norm_a", "norm_p_inf", "q_true_frobenius"])
+def test_norms_must_be_nonnegative(field):
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+        make_inputs(**{field: -1.0})
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_epsilon_must_be_finite(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        sample_bound_direct(make_inputs(), epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        sample_bound_indirect([make_inputs()], epsilon=epsilon)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 0.5], [math.nan, math.nan], [math.inf, 0.5]])
+def test_weights_must_be_finite(weights):
+    with pytest.raises(ValueError, match=r"weights must lie in \(0, 1\]"):
+        sample_bound_indirect([make_inputs(), make_inputs()], weights=weights, epsilon=0.1)
+
+
 def test_report_serialization_round_trip_fields():
     report = sample_bound_direct(make_inputs(), epsilon=0.2)
     data = report.to_dict()

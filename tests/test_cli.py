@@ -462,6 +462,18 @@ def test_bounds_rejects_nonpositive_options(config_file, option, value):
     assert f"Invalid value for '{option}': {float(value)} is not in the range x>0." in result.output
 
 
+@pytest.mark.parametrize("option", ["--epsilon", "--o-tilde"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bounds_rejects_nonfinite_options(config_file, option, value):
+    # FloatRange alone let NaN through, and the report printed "t_min": NaN
+    result = CliRunner().invoke(main, ["bounds", str(config_file), option, value])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == (
+        f"Error: Invalid value for '{option}': {value} is not a finite number."
+    )
+
+
 @pytest.mark.parametrize("options,message", [
     (["--seed", "-1"], "seeds must be nonnegative, got -1"),
     (["--n-agents", "1"], "n_agents: example 2 needs at least 2 agents, got 1"),

@@ -1,11 +1,15 @@
-"""Set-up, ``malspi graphs`` and ``malspi bounds`` never load SciPy's linear algebra.
+"""What a fresh interpreter loads, and that each module imports on its own.
 
-``import malspi`` loads NumPy only: the functions that call SciPy's
-BLAS/LAPACK import it themselves.  A fresh interpreter runs the benchmark's
-set-up sequence (``perfbench/setup_probe.py``) and both commands, noting
-whether ``scipy.linalg`` is loaded after each, then one ``run_malspi``
-iteration per architecture, whose records must equal, bit for bit, the
-same runs made here.
+The package root imports nothing, so set-up (``perfbench/setup_probe.py``'s
+sequence: parse a config, build the system, derive the dependency sets and
+each architecture's plans) loads only the malspi modules it uses, and
+never SciPy's linear algebra: the functions that call SciPy's BLAS/LAPACK
+import it themselves.  A fresh interpreter runs that sequence, then
+``malspi graphs`` and ``malspi bounds``, noting which modules are loaded
+after each, then one ``run_malspi`` iteration per architecture, whose
+records must equal, bit for bit, the same runs made here.  Each module is
+also imported alone in a fresh interpreter, so that no import cycle hides
+behind another module's import order.
 """
 import json
 import os
@@ -14,10 +18,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from malspi.config import parse_config
 from malspi.policy_iteration import Architecture, run_malspi
 
 TESTS = Path(__file__).resolve().parent
+MODULES = sorted(p.stem for p in (TESTS.parent / "src" / "malspi").glob("*.py")
+                 if p.stem != "__init__")
+# Not bounds, cli, io, runner or verify.
+SETUP_MODULES = [f"malspi.{m}" for m in (
+    "config", "examples", "graphs", "linalg", "lstdq", "policy_iteration", "system")]
 
 CONFIG = {
     "n_agents": 4,
@@ -46,7 +57,8 @@ system = config.build_system()
 deps = dependency_sets(system.graphs)
 for name in config.architectures:
     architecture_plans(Architecture.parse(name), deps, config.n_agents)
-loaded = {"setup": "scipy.linalg" in sys.modules}
+loaded = {"setup": "scipy.linalg" in sys.modules,
+          "setup_modules": sorted(m for m in sys.modules if m.startswith("malspi."))}
 
 from click.testing import CliRunner
 from malspi.cli import main
@@ -73,19 +85,32 @@ def _bits(records):
              [(d.agent, exact(d.rcond), d.flags) for d in r.agents]) for r in records]
 
 
-def test_scipy_linalg_is_loaded_by_the_first_run_only(tmp_path):
-    config_path, runs_path = tmp_path / "config.json", tmp_path / "runs.pickle"
-    config_path.write_text(json.dumps(CONFIG))
+def _fresh_python(*args):
+    """Run ``python -c`` in a fresh interpreter that imports malspi from this checkout."""
     env = dict(os.environ)
     src = str(TESTS.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(config_path), str(runs_path)],
+        [sys.executable, "-c", *args],
         cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    return done
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    _fresh_python(f"import malspi.{module}")
+
+
+def test_scipy_linalg_is_loaded_by_the_first_run_only(tmp_path):
+    # and set-up loads exactly SETUP_MODULES
+    config_path, runs_path = tmp_path / "config.json", tmp_path / "runs.pickle"
+    config_path.write_text(json.dumps(CONFIG))
+    done = _fresh_python(_SCRIPT, str(config_path), str(runs_path))
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"setup": False, "graphs_and_bounds": False, "run": True}
+    assert loaded == {"setup": False, "setup_modules": SETUP_MODULES,
+                      "graphs_and_bounds": False, "run": True}
 
     fresh = pickle.loads(runs_path.read_bytes())
     config = parse_config(CONFIG)

@@ -466,6 +466,28 @@ def test_invalid_step_plan_raises_before_the_first_rollout(monkeypatch):
     assert not rollouts
 
 
+@pytest.mark.parametrize("n_x, k0", [
+    # example2's agent 3 observes agent 1; example1's does not
+    (1, structured_policy_from_blocks(generate_example2(4), 1, 1, {(3, 1): [[-0.01]]})),
+    (2, zero_policy(generate_example1(4), 1, 1)),
+], ids=["other-graphs", "other-n_x"])
+def test_initial_policy_on_other_graphs_or_sizes_raises_before_the_first_rollout(
+        monkeypatch, n_x, k0):
+    system = build_example_system(generate_example1(4), n_x=n_x, n_u=1)
+    rollouts = []
+    real_rollout = policy_iteration.rollout
+
+    def counted_rollout(*args, **kwargs):
+        rollouts.append(1)
+        return real_rollout(*args, **kwargs)
+
+    monkeypatch.setattr(policy_iteration, "rollout", counted_rollout)
+    with pytest.raises(ValueError, match="not built on the system's coupling graphs"):
+        run_malspi(system, Architecture.DIRECT,
+                   MalspiConfig(n_iterations=2, t_rollout=200, k0=k0))
+    assert not rollouts
+
+
 @pytest.mark.parametrize(
     "arch, sigma_eta",
     [(arch, 1.0) for arch in Architecture] + [(Architecture.INDIRECT, 0.0)],
