@@ -236,9 +236,6 @@ def bounds(config_path: str, agent: int | None, epsilon: float | None, o_tilde: 
     report = {}
     for i in agents:
         grad_set = deps.gradient[i]
-        if not grad_set:
-            report[str(i)] = {"note": "empty gradient set; nothing to estimate"}
-            continue
         direct_inputs = inputs(deps.direct[i], grad_set)
         member_inputs = [inputs(deps.value[j], (j,)) for j in grad_set]
         report[str(i)] = {

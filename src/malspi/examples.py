@@ -36,6 +36,10 @@ import numpy as np
 from .graphs import CouplingGraphs, build_coupling_graphs
 from .system import MultiAgentSystem, build_system
 
+# Entries of the default per-agent state block (``default_state_block``).
+_CHAIN_DIAGONAL = 0.95
+_CHAIN_OFF = 0.01
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -120,12 +124,13 @@ def build_cost_blocks(
     return s_blocks, r_blocks
 
 
-def default_state_block(n_x: int, *, diagonal: float = 0.95, off: float = 0.01) -> np.ndarray:
-    """Marginally stable chain: constant diagonal with weak nearest-neighbor terms."""
-    a = diagonal * np.eye(n_x)
+def default_state_block(n_x: int) -> np.ndarray:
+    """Marginally stable chain: ``_CHAIN_DIAGONAL`` on the diagonal and weak
+    ``_CHAIN_OFF`` nearest-neighbor terms."""
+    a = _CHAIN_DIAGONAL * np.eye(n_x)
     idx = np.arange(n_x - 1)
-    a[idx, idx + 1] = off
-    a[idx + 1, idx] = off
+    a[idx, idx + 1] = _CHAIN_OFF
+    a[idx + 1, idx] = _CHAIN_OFF
     return a
 
 

@@ -28,6 +28,8 @@ _EPS = float(np.finfo(float).eps)
 _MAX_DOUBLINGS = 64
 # Largest scaled residual (see ``lyapunov_residual``) a solution may have.
 LYAPUNOV_RESIDUAL_GATE = 1e-9
+# Highest power of X / rho whose norm ``stability_report`` takes.
+_MAX_POWER = 200
 # Bytes of matrix powers ``stability_report`` holds at once (at least one power).
 _POWER_WINDOW_BYTES = 1 << 20
 # Spectral radius at or below which ``stability_report`` measures no tau (it returns 1).
@@ -184,11 +186,12 @@ class StabilityReport:
     tau: float
 
 
-def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityReport:
+def stability_report(mat: np.ndarray) -> StabilityReport:
     """Spectral radius plus an empirical transient-overshoot estimate.
 
-    tau is the maximum of ||(X / rho)^k||_2 over k = 0..max_power; for
-    rho <= ``RHO_FLOOR`` (a nilpotent or zero matrix) tau defaults to one.
+    tau is the maximum of ||(X / rho)^k||_2 over k = 0..``_MAX_POWER``
+    (200); for rho <= ``RHO_FLOOR`` (a nilpotent or zero matrix) tau
+    defaults to one.
     Powering the normalized matrix keeps every term of order tau, where rho^k alone
     would underflow for small rho.  When the symmetric nonzero pattern of
     X has several connected components, X is a permuted block-diagonal
@@ -198,19 +201,19 @@ def stability_report(mat: np.ndarray, *, max_power: int = 200) -> StabilityRepor
     taken a window at a time, as many powers of a block as fit in
     ``_POWER_WINDOW_BYTES`` (1 MiB, 25 powers at n = 72, all 200 for
     n <= 25), so the working memory is O(window * n^2) whatever
-    ``max_power`` is.
+    ``_MAX_POWER`` is.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"stability_report expects a square matrix, got shape {m.shape}")
     rho = spectral_radius(m)
-    if rho <= RHO_FLOOR or max_power < 1:
+    if rho <= RHO_FLOOR:
         return StabilityReport(rho=rho, tau=1.0)
     blocks = {}
     for members in _components(m):
         block = m[np.ix_(members, members)]
         blocks.setdefault((block.shape, block.tobytes()), block)
-    peak = max(_peak_power_norm(block / rho, max_power) for block in blocks.values())
+    peak = max(_peak_power_norm(block / rho, _MAX_POWER) for block in blocks.values())
     return StabilityReport(rho=rho, tau=max(1.0, peak))
 
 

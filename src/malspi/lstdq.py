@@ -17,14 +17,19 @@ as recursive LSTD forms them: each slab of r = max(256, 4 MiB / (16 d))
 samples (at most T) adds its Phi rows times its regressor rows
 Phi - Psi_plus + F, and times its costs, into the d x d operator and the
 d x k right-hand sides, one GEMM each.  No T x d matrix is held: a
-regression holds (d^2 + 2 r d + d k) * 8 bytes whatever T is, 16.0 MB at
-d=1176 (r=256, k=12) and 453 MB at d=7260 (r=256, k=20).  The LU is gated
-on LAPACK's reciprocal 1-norm condition estimate (``gecon``,
-Hager/Higham), O(d^2) on top of O(d^3).  With zero process noise the
-relation holds pathwise and the recovery is exact up to conditioning.
-Every product and factorization runs through SciPy's BLAS/LAPACK, which
-``_stream``, ``_dgecon``, ``LstdqOperator`` and ``solve_cost`` import
-where they call it: importing this module loads NumPy only.
+regression's working set is (d^2 + 2 r d + d k) * 8 bytes whatever T is
+(the operator, factorized in place, the two r x d slab buffers and the k
+owners' right-hand sides), 16.0 MB at d=1176 (r=256, k=12) and 453 MB at
+d=7260 (r=256, k=20).  The LU is gated on LAPACK's reciprocal 1-norm
+condition estimate (``gecon``, Hager/Higham), O(d^2) on top of O(d^3).
+With zero process noise the relation holds pathwise and the recovery is
+exact up to conditioning.
+The operator and right-hand-side GEMMs, the LU, its condition estimate
+and the solve run through SciPy's BLAS/LAPACK, which ``_stream``,
+``_dgecon``, ``LstdqOperator`` and ``solve_cost`` import where they call
+it: importing this module loads NumPy only.  ``build_regression``'s
+next-step controls and noise row are NumPy products (README.md lists the
+hot-loop products on each library's BLAS).
 """
 from __future__ import annotations
 
@@ -240,8 +245,8 @@ class LstdqOperator:
     One pass over slabs of r = max(256, 4 MiB / (16 d)) samples (at most T)
     writes each slab's Phi and regressor rows into two reusable r x d
     buffers and adds them into the 64-byte-aligned d x d operator and the
-    owners' right-hand sides Phi' owner_costs, one GEMM each: (d^2 + 2 r d
-    + d k) * 8 bytes whatever T is, 16.0 MB at d=1176 and 453 MB at d=7260.
+    owners' right-hand sides Phi' owner_costs, one GEMM each, so its
+    working set is the module docstring's, whatever T is.
     """
 
     def __init__(self, bundle: RegressionBundle):

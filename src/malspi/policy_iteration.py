@@ -149,14 +149,19 @@ class StepLayout:
 
 
 def step_layouts(policy: StructuredPolicy, plans: Mapping[int, AgentPlan]) -> dict[int, StepLayout]:
-    """The layout of each agent whose plan has terms, keyed by agent, agents
-    sharing an update set adjacent.  Reads only the policy's graphs and sizes.
-    Raises ValueError when an agent or one it observes is outside its update set.
+    """The layout of each agent's step, keyed by agent, agents sharing an
+    update set adjacent.  Reads only the policy's graphs and sizes.  Raises
+    ValueError when a plan has no terms (its agent's gradient set is empty,
+    which no system that ``build_system`` accepts allows) or when an agent
+    or one it observes is outside its update set.
     """
     n_x, n_u = policy.n_x, policy.n_u
     groups: dict[AgentSet, list[StepLayout]] = {}
-    for plan in (p for p in plans.values() if p.terms):
+    for plan in plans.values():
         agent, update_set = plan.agent, plan.update_set
+        if not plan.terms:
+            raise ValueError(f"agent {agent} has an empty gradient set: no owner's value set "
+                             f"contains it")
         if agent not in update_set:
             raise ValueError(f"agent {agent} is not in the estimate's index set {update_set}")
         outside = [j for j in policy.graphs.observation_in_neighbors(agent) if j not in update_set]
@@ -309,11 +314,9 @@ def run_malspi(
     its samples, the iterate's gain blocks and the owners' costs.
     Estimation sets are evaluated one at a time and each set's regression
     and factorization are released before the next set's are built, so the
-    evaluation step holds at most one set's T x m samples and
-    (d^2 + 2 r d + d k) * 8 bytes: its LU, the two r x d slabs it is
-    streamed through and its k owners' right-hand sides (``LstdqOperator``;
-    r = 256 at d >= 1024), with d the largest set's feature dimension:
-    16.0 MB at d=1176, 453 MB at d=7260.  Each agent's step is checked and
+    evaluation step holds at most one set's T x m samples and one
+    regression's working set (``malspi.lstdq``'s docstring), with d the
+    largest set's feature dimension.  Each agent's step is checked and
     laid out once too (``step_layouts``); its owner terms are added into
     one zeroed aggregate through the layout's cells.
     """
@@ -386,9 +389,7 @@ def run_malspi(
             plan = plans[i]
             flags = tuple(dict.fromkeys(f for s, _ in plan.terms for f in set_flags[s]))
             q_error = None
-            if not plan.terms:
-                flags = ("empty_gradient_set",)
-            elif not flags:
+            if not flags:
                 m_update = (system.n_x + system.n_u) * len(plan.update_set)
                 aggregate = np.zeros((m_update, m_update))
                 for term, cells in zip(plan.terms, layouts[i].term_cells):
@@ -402,7 +403,7 @@ def run_malspi(
             diags.append(
                 AgentDiagnostics(
                     agent=i,
-                    rcond=set_rcond.get(plan.own_set) if plan.terms else None,
+                    rcond=set_rcond.get(plan.own_set),
                     flags=flags,
                     q_error=q_error,
                 )

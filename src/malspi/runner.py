@@ -44,9 +44,8 @@ class CurveRow:
 class TimingRow:
     """One (architecture, N) cell over its measured iterations, unless ``skipped``.
 
-    ``attempted_updates`` counts the agent updates not flagged
-    ``empty_gradient_set``; ``frozen_updates`` counts those flagged
-    ``singular`` or ``underdetermined``.
+    ``attempted_updates`` counts the agent updates; ``frozen_updates``
+    counts those flagged ``singular`` or ``underdetermined``.
     """
 
     architecture: str
@@ -153,8 +152,7 @@ def _timing_row(
     """Statistics over the iterations after the first ``warmup`` updates of each run."""
     measured = [r for records in runs for r in [r for r in records if r.iteration > 0][warmup:]]
     seconds = [r.wall_eval_s + r.wall_update_s for r in measured]
-    updates = [diag.flags for r in measured for diag in r.agents
-               if "empty_gradient_set" not in diag.flags]
+    updates = [diag.flags for r in measured for diag in r.agents]
     return TimingRow(
         name, config.n_agents, config.t_rollout,
         statistics.fmean(seconds) if seconds else None,

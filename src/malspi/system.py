@@ -342,10 +342,9 @@ class Subsystem:
 
     ``a``, ``b`` and ``k`` are the global matrices restricted to the
     subset's coordinates.  ``s`` and ``r`` hold the requested cost
-    aggregate (sum of the chosen owners' cost blocks, optionally
-    1/N-averaged) on the subset's stacked coordinates.  Extraction is exact
-    when the subset is closed under the state/observation reachability
-    relation.
+    aggregate (sum of the chosen owners' cost blocks) on the subset's
+    stacked coordinates.  Extraction is exact when the subset is closed
+    under the state/observation reachability relation.
     """
 
     agents: AgentSet
@@ -435,28 +434,25 @@ def extract_subsystem(
     policy: StructuredPolicy,
     index_set: Iterable[int],
     cost_owners: Iterable[int] = (),
-    *,
-    average: bool = False,
 ) -> Subsystem:
-    """Restrict dynamics, gain, and an owner-aggregated cost to an agent subset.
+    """Restrict dynamics, gain, and the owners' summed cost to an agent subset.
 
     The set is checked and laid out by ``estimation_set``: it must be closed
     under the state/observation reachability relation, and each cost
-    owner's in-neighbor set must lie inside it.  ``average=True`` folds in
-    the 1/N global averaging; otherwise owner costs are summed raw.
+    owner's in-neighbor set must lie inside it.  Owner costs are summed
+    raw, without the 1/N global averaging.
     """
     est = estimation_set(system, index_set, cost_owners)
     xs, us = est.xs, est.us
     s_sub = np.zeros((len(xs), len(xs)))
     r_sub = np.zeros((len(us), len(us)))
-    scale = 1.0 / system.n_agents if average else 1.0
     for j, (owner_xs, owner_us) in zip(est.cost_owners, est.owner_coords):
         # Both coordinate lists are sorted, so each owner coordinate's
         # position in the set's is its rank there.
         x_idx = np.searchsorted(xs, owner_xs)
         u_idx = np.searchsorted(us, owner_us)
-        s_sub[np.ix_(x_idx, x_idx)] += scale * system.s_blocks[j]
-        r_sub[np.ix_(u_idx, u_idx)] += scale * system.r_blocks[j]
+        s_sub[np.ix_(x_idx, x_idx)] += system.s_blocks[j]
+        r_sub[np.ix_(u_idx, u_idx)] += system.r_blocks[j]
 
     return Subsystem(
         agents=est.agents,
@@ -546,7 +542,7 @@ def _times_transposed(
     """``rows @ mat.T`` as a C-ordered array, computed by SciPy's BLAS.
 
     With ``out`` (C-ordered, rows.shape[0] x mat.shape[0]) the product is
-    added into it in place and ``out`` is returned.  The LSTDQ products and
+    added into it in place and ``out`` is returned.  The LSTDQ operator and
     LU run on SciPy's BLAS too: NumPy links a second OpenBLAS, and waking
     its thread pool with a product this size leaves it competing with
     SciPy's for the cores.  ``rows.T`` and ``out.T`` are Fortran-ordered,

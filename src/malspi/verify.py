@@ -59,6 +59,11 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # random instances
 
+# Open-loop spectral radius ``random_system`` scales A down to when A's is larger.
+_SPECTRAL_TARGET = 0.7
+# Closed-loop spectral radius ``random_stabilizing_policy`` must stay below.
+_CLOSED_LOOP_MARGIN = 0.95
+
 
 def random_graphs(
     rng: np.random.Generator,
@@ -90,7 +95,6 @@ def random_system(
     n_u: int,
     *,
     sigma_w: float = 1.0,
-    spectral_target: float = 0.7,
 ) -> MultiAgentSystem:
     """Random blocks on the graph sparsity pattern, rescaled to be open-loop stable."""
     a_blocks = {}
@@ -113,8 +117,8 @@ def random_system(
         r_blocks[i] = d.T @ d / (k * n_u) + 0.5 * np.eye(k * n_u)
     system = build_system(graphs, n_x, n_u, a_blocks, b_blocks, s_blocks, r_blocks, sigma_w)
     rho = spectral_radius(system.a)
-    if rho > spectral_target:
-        scale = spectral_target / rho
+    if rho > _SPECTRAL_TARGET:
+        scale = _SPECTRAL_TARGET / rho
         a_blocks = {k: v * scale for k, v in a_blocks.items()}
         system = build_system(graphs, n_x, n_u, a_blocks, b_blocks, s_blocks, r_blocks, sigma_w)
     return system
@@ -124,10 +128,10 @@ def random_stabilizing_policy(
     rng: np.random.Generator,
     system: MultiAgentSystem,
     *,
-    margin: float = 0.95,
     scale: float = 0.3,
 ) -> StructuredPolicy:
-    """Random structured gain shrunk until the closed loop is stable."""
+    """Random structured gain halved until the closed loop's spectral radius is
+    below ``_CLOSED_LOOP_MARGIN``; the zero policy after 60 halvings."""
     graphs = system.graphs
     blocks = {
         (i, j): rng.normal(scale=scale, size=(system.n_u, system.n_x))
@@ -136,7 +140,7 @@ def random_stabilizing_policy(
     }
     for _ in range(60):
         policy = structured_policy_from_blocks(graphs, system.n_x, system.n_u, blocks)
-        if spectral_radius(system.a + system.b @ policy.gain) < margin:
+        if spectral_radius(system.a + system.b @ policy.gain) < _CLOSED_LOOP_MARGIN:
             return policy
         blocks = {k: 0.5 * v for k, v in blocks.items()}
     return zero_policy(graphs, system.n_x, system.n_u)
@@ -415,8 +419,9 @@ def check_value_decomposition(
     """Exact per-owner Q supports, sum and restriction on (system, policy) instances.
 
     Owner i's global Q vanishes outside its value set, equals its Q on the
-    value set there, and the owners' Qs average to the global Q.
-    ``instances`` defaults to ten random closed loops.
+    value set there, and the owners' Qs sum to the Q of their summed cost
+    (Q is linear in the cost).  ``instances`` defaults to ten random closed
+    loops.
     """
     if instances is None:
         instances = (_random_closed_loop(trial) for trial in range(10))
@@ -446,10 +451,10 @@ def check_value_decomposition(
                     worst_restrict,
                     float(np.max(np.abs(q_small - q_i[np.ix_(inside, inside)]))),
                 )
-        q_avg = true_q_matrix(
-            extract_subsystem(system, policy, everyone, cost_owners=everyone, average=True)
+        q_summed_cost = true_q_matrix(
+            extract_subsystem(system, policy, everyone, cost_owners=everyone)
         )
-        worst_sum = max(worst_sum, float(np.max(np.abs(q_total / graphs.n_agents - q_avg))))
+        worst_sum = max(worst_sum, float(np.max(np.abs(q_total - q_summed_cost))))
     passed = max(worst_outside, worst_sum, worst_restrict) < tol
     return CheckResult(
         "value decomposition (support, consistency, restriction)",

@@ -15,6 +15,7 @@ from malspi.config import load_config, parse_config
 from malspi.graphs import dependency_sets
 from malspi.runner import read_timing_csv
 from malspi.system import extract_subsystem, zero_policy
+from malspi.verify import CheckResult
 
 
 @pytest.fixture()
@@ -496,3 +497,18 @@ def test_overrides_match_a_reparsed_document(config_file, tmp_path):
         "edges_s": [[1, 1]], "edges_o": [[1, 1]], "edges_c": [[1, 1]]}, "n_agents": 1})
     with pytest.raises(click.ClickException, match="explicit graphs"):
         cli._apply_overrides(explicit, (), (), 2)
+
+
+def test_verify_prints_one_pass_line_per_check():
+    result = CliRunner().invoke(main, ["verify"])
+    assert result.exit_code == 0, result.output
+    *checks, summary = result.output.splitlines()
+    assert len(checks) == 9 and all(line.startswith("[PASS] ") for line in checks), checks
+    assert summary == "all 9 checks passed"
+
+
+def test_verify_exits_nonzero_on_a_failing_check(monkeypatch):
+    monkeypatch.setattr(cli, "run_all_checks", lambda: [CheckResult("broken", False, "defect 1")])
+    result = CliRunner().invoke(main, ["verify"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["[FAIL] broken: defect 1"]

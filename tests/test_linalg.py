@@ -206,11 +206,12 @@ W = 16
 @pytest.mark.parametrize("max_power", [1, W - 1, W, W + 1, 200])
 @pytest.mark.parametrize("window", [1, W, None])
 def test_stability_report_windows_match_stacked_powers_bitwise(monkeypatch, n, max_power, window):
+    monkeypatch.setattr(linalg, "_MAX_POWER", max_power)
     if window is not None:
         monkeypatch.setattr(linalg, "_POWER_WINDOW_BYTES", window * 8 * n * n)
     rng = np.random.default_rng(1000 * n + max_power)
     m = rng.normal(size=(n, n)) / math.sqrt(n)
-    report = stability_report(m, max_power=max_power)
+    report = stability_report(m)
     assert report.rho == spectral_radius(m)
     assert report.tau == _stacked_tau(m, max_power)
 
@@ -220,7 +221,7 @@ def test_stability_report_memory_does_not_grow_with_max_power():
     m = np.random.default_rng(7).normal(size=(72, 72)) / math.sqrt(72)
     tracemalloc.start()
     try:
-        stability_report(m, max_power=200)
+        stability_report(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -253,7 +254,8 @@ BLOCK_CASES = {
     "repeated_chain": [default_state_block(3)] * 24,
     # normalized by the global rho 0.9, the Jordan block decays yet holds the peak
     "unequal_radii": [np.diag([0.9, 0.3]), np.array([[0.5, 5.0], [0.0, 0.5]]),
-                      default_state_block(4, diagonal=0.6, off=0.1)],
+                      np.array([[0.6, 0.1, 0.0, 0.0], [0.1, 0.6, 0.1, 0.0],
+                                [0.0, 0.1, 0.6, 0.1], [0.0, 0.0, 0.1, 0.6]])],
     "zero_block": [np.zeros((1, 1)), default_state_block(3), np.array([[0.5, 2.0], [0.0, 0.4]])],
     # (X / rho)^k = [[1, 50 k], [0, 1]] peaks at k = 200
     "jordan_peak_at_200": [JORDAN, np.diag([0.01, -0.02]), JORDAN, 0.01 * default_state_block(3)],

@@ -32,7 +32,7 @@ from malspi.system import (
     true_q_matrix,
     zero_policy,
 )
-from malspi.verify import random_stabilizing_policy, random_system
+from malspi.verify import random_graphs, random_stabilizing_policy, random_system
 
 
 def scalar_system(a=0.9, b=1.0, s=1.0, r=1.0, sigma_w=1.0):
@@ -192,11 +192,9 @@ def test_underdetermined_iterations_flag_and_freeze():
 
 
 def test_empty_gradient_set_yields_empty_plan():
-    # an agent outside every value set gets no estimation terms and no update;
-    # unreachable for valid systems (its control cost would be zero) but the
-    # plan layer must stay well defined
-    from malspi.graphs import DependencySets
-
+    # an agent outside every value set gets no estimation terms, and its step
+    # cannot be laid out; unreachable for valid systems (its control cost
+    # would be zero, see the test below)
     deps = DependencySets(
         n_agents=2,
         reach={1: (1,), 2: (2,)},
@@ -206,6 +204,40 @@ def test_empty_gradient_set_yields_empty_plan():
     )
     plans = architecture_plans(Architecture.INDIRECT, deps, 2)
     assert plans[2].terms == ()
+    loops = [(1, 1), (2, 2)]
+    policy = zero_policy(build_coupling_graphs(2, loops, loops, loops), 1, 1)
+    with pytest.raises(ValueError, match="agent 2 has an empty gradient set"):
+        step_layouts(policy, plans)
+
+
+def test_every_built_system_has_nonempty_gradient_sets():
+    # A positive-definite global control cost puts every agent's control in
+    # some owner's cost, so every agent is in that owner's value set.
+    rng = np.random.default_rng(0)
+    built = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        g = random_graphs(rng, n, edge_prob=float(rng.uniform(0.05, 0.5)),
+                          cost_self_loops=bool(rng.integers(2)))
+        try:
+            system = random_system(rng, g, 1, 1)
+        except ValueError as err:
+            assert "global control cost must be positive definite" in str(err)
+            continue
+        built += 1
+        deps = dependency_sets(system.graphs)
+        assert all(deps.gradient[i] for i in g.agents), g
+    assert built >= 100
+    for n in (2, 3, 12, 24):
+        for generate in (generate_example1, generate_example2):
+            system = build_example_system(generate(n), n_x=1, n_u=1)
+            deps = dependency_sets(system.graphs)
+            assert all(deps.gradient[i] for i in system.graphs.agents), (generate, n)
+
+    loops = [(1, 1), (2, 2)]
+    g = build_coupling_graphs(2, loops, loops, [(1, 1)])
+    with pytest.raises(ValueError, match="global control cost must be positive definite"):
+        build_system(g, 1, 1, {}, {}, {1: [[1.0]]}, {1: [[1.0]]}, 1.0)
 
 
 def test_decoupled_agents_match_single_agent_reference():

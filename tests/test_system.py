@@ -211,11 +211,11 @@ def test_full_index_set_subsystem_equals_global():
     g = random_graphs(rng, 4, edge_prob=0.4, cost_self_loops=True)
     system = random_system(rng, g, 2, 1)
     policy = random_stabilizing_policy(rng, system)
-    sub = extract_subsystem(system, policy, g.agents, cost_owners=g.agents, average=True)
+    sub = extract_subsystem(system, policy, g.agents, cost_owners=g.agents)
     np.testing.assert_allclose(sub.a, system.a)
     np.testing.assert_allclose(sub.b, system.b)
-    np.testing.assert_allclose(sub.s, system.s)
-    np.testing.assert_allclose(sub.r, system.r)
+    np.testing.assert_allclose(sub.s / g.n_agents, system.s)
+    np.testing.assert_allclose(sub.r / g.n_agents, system.r)
     np.testing.assert_allclose(sub.k, policy.gain)
 
     # A closed set's extraction is the all-agent one with the same owners,
@@ -233,13 +233,12 @@ def test_full_index_set_subsystem_equals_global():
             gapped += any(np.any(np.diff(np.searchsorted(agent_set, g.cost_in_neighbors(j))) > 1)
                           for j in owners)
             xs, us = x_coords(agent_set, 2), u_coords(agent_set, 1)
-            for average in (False, True):
-                sub = extract_subsystem(system, policy, agent_set, owners, average=average)
-                full = extract_subsystem(system, policy, g.agents, owners, average=average)
-                for name, rows, cols in (("a", xs, xs), ("b", xs, us), ("k", us, xs),
-                                         ("s", xs, xs), ("r", us, us)):
-                    restricted = getattr(full, name)[np.ix_(rows, cols)]
-                    assert getattr(sub, name).tobytes() == restricted.tobytes(), (seed, name)
+            sub = extract_subsystem(system, policy, agent_set, owners)
+            full = extract_subsystem(system, policy, g.agents, owners)
+            for name, rows, cols in (("a", xs, xs), ("b", xs, us), ("k", us, xs),
+                                     ("s", xs, xs), ("r", us, us)):
+                restricted = getattr(full, name)[np.ix_(rows, cols)]
+                assert getattr(sub, name).tobytes() == restricted.tobytes(), (seed, name)
     assert gapped
 
 
